@@ -13,7 +13,6 @@ from .distributions import (
 )
 from .errors import (
     HypothesisViolatedError,
-    HypothesisWarning,
     InvalidToleranceError,
     NonConvergentError,
     SphereMinError,
@@ -28,14 +27,7 @@ from .minima import (
     nmin,
 )
 from .quadrature import QuadratureResult, survival_power_integral
-from .special import (
-    GammaHalfRatio,
-    erfc,
-    gamma_half_ratio,
-    gamma_ratio,
-    ln_gamma,
-    log_erfc,
-)
+from .special import gamma_ratio, log_erfc
 from .transfer import (
     Estimate,
     HomogeneousFunction,
@@ -51,10 +43,8 @@ __all__ = [
     "DEFAULT_TOL",
     "Distribution",
     "Estimate",
-    "GammaHalfRatio",
     "HomogeneousFunction",
     "HypothesisViolatedError",
-    "HypothesisWarning",
     "InvalidToleranceError",
     "MinResult",
     "NonConvergentError",
@@ -66,14 +56,11 @@ __all__ = [
     "builtin_functions",
     "emin",
     "emin_asymptotic",
-    "erfc",
     "expected_min",
     "exponential",
-    "gamma_half_ratio",
     "gamma_ratio",
     "half_normal",
     "heavy_tail",
-    "ln_gamma",
     "log_erfc",
     "nmin",
     "power_law",

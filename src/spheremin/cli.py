@@ -13,7 +13,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -31,23 +30,9 @@ EXIT_NONCONVERGENT = 3
 EXIT_HYPOTHESIS = 4
 
 
-@dataclass
-class RunConfig:
-    command: str
-    ns: List[int]
-    dist: Optional[Distribution]
-    function: Optional[str]
-    tol: float
-    samples: int
-    seed: int
-    fmt: str
-    output: Optional[str]
-    sweep_command: Optional[str] = None
-    columns: Optional[List[str]] = None
-
-
-class CliParseError(ValueError):
-    pass
+class CliParseError(ValueError, argparse.ArgumentTypeError):
+    """A malformed argument value; as an ArgumentTypeError, argparse prints
+    its message when a `type=` parser raises it."""
 
 
 def parse_distribution(spec: str) -> Distribution:
@@ -92,6 +77,17 @@ def parse_n_range(spec: str) -> List[int]:
     return out
 
 
+SWEEP_COLUMNS = ("n", "value", "error_bound", "method", "scaled")
+
+
+def _parse_columns(spec: str) -> List[str]:
+    columns = [c.strip() for c in spec.split(",") if c.strip()]
+    unknown = [c for c in columns if c not in SWEEP_COLUMNS]
+    if unknown:
+        raise CliParseError(f"unknown columns: {', '.join(unknown)}")
+    return columns
+
+
 def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.17g}"
@@ -124,42 +120,37 @@ def _min_row(res: minima.MinResult) -> dict:
     }
 
 
-def _compute_min(command: str, dist: Optional[Distribution], n: int, tol: float) -> minima.MinResult:
+def _compute_min(command: str, args: argparse.Namespace, n: int) -> minima.MinResult:
     if command == "emin":
-        return minima.emin(n, tol)
+        return minima.emin(n, args.tol)
     if command == "nmin":
-        return minima.nmin(n, tol)
+        return minima.nmin(n, args.tol)
     if command == "expected-min":
-        return minima.expected_min(dist, n, tol)
-    if command == "asymptotic":
-        return minima.asymptotic_min(dist, n)
-    raise CliParseError(f"command {command!r} is not sweepable")
+        return minima.expected_min(args.dist, n, args.tol)
+    return minima.asymptotic_min(args.dist, n)
 
 
-SWEEP_COLUMNS = ("n", "value", "error_bound", "method", "scaled")
-
-
-def _run_min_command(cfg: RunConfig, out: io.TextIOBase) -> int:
-    command = cfg.sweep_command or cfg.command
-    if command in ("expected-min", "asymptotic") and cfg.dist is None:
+def _run_min_command(args: argparse.Namespace, out: io.TextIOBase) -> int:
+    command = getattr(args, "sweep_command", args.command)
+    if command in ("expected-min", "asymptotic") and args.dist is None:
         raise CliParseError(f"{command} requires --dist")
-    columns = cfg.columns or ["n", "value", "error_bound", "method"]
+    columns = getattr(args, "columns", None) or ["n", "value", "error_bound", "method"]
     rows = []
-    for n in cfg.ns:
-        res = _compute_min(command, cfg.dist, n, cfg.tol)
+    for n in args.n_range or [args.n]:
+        res = _compute_min(command, args, n)
         row = _min_row(res)
         row["scaled"] = (n + 1) * res.value
         rows.append(row)
-    _emit(rows, columns, cfg.fmt, out)
+    _emit(rows, columns, args.fmt, out)
     return EXIT_OK
 
 
-def _run_sphere_mean(cfg: RunConfig, out: io.TextIOBase) -> int:
-    f = transfer.builtin_function(cfg.function or "min-abs")
+def _run_sphere_mean(args: argparse.Namespace, out: io.TextIOBase) -> int:
+    f = transfer.builtin_function(args.fn)
+    ns = args.n_range or [args.n]
     rows = []
-    for i, n in enumerate(cfg.ns):
-        seed = np.random.SeedSequence(cfg.seed).spawn(len(cfg.ns))[i]
-        est = transfer.sphere_mean_direct(f, n, cfg.samples, seed)
+    for n, seed in zip(ns, np.random.SeedSequence(args.seed).spawn(len(ns))):
+        est = transfer.sphere_mean_direct(f, n, args.samples, seed)
         rows.append({
             "n": n,
             "function": f.name,
@@ -167,11 +158,11 @@ def _run_sphere_mean(cfg: RunConfig, out: io.TextIOBase) -> int:
             "std_error": est.std_error,
             "samples": est.samples,
         })
-    _emit(rows, ["n", "function", "point", "std_error", "samples"], cfg.fmt, out)
+    _emit(rows, ["n", "function", "point", "std_error", "samples"], args.fmt, out)
     return EXIT_OK
 
 
-def _run_verify(cfg: RunConfig, out: io.TextIOBase) -> int:
+def _run_verify(args: argparse.Namespace, out: io.TextIOBase) -> int:
     """Cross-validation suite: quadrature vs closed forms, the gamma-route
     sphere value vs direct sphere Monte Carlo, and the transfer identity
     for every built-in function."""
@@ -181,7 +172,7 @@ def _run_verify(cfg: RunConfig, out: io.TextIOBase) -> int:
         checks.append(ok)
         out.write(f"{'PASS' if ok else 'FAIL'}  {name}  {detail}\n")
 
-    tol = cfg.tol
+    tol = args.tol
     for n in (1, 10, 100):
         v = minima.expected_min(dists.exponential(1.0), n, tol).value
         check(f"quadrature-exponential-n{n}", abs(v - 1.0 / n) <= 1e-9,
@@ -202,17 +193,17 @@ def _run_verify(cfg: RunConfig, out: io.TextIOBase) -> int:
            if abs(gamma_ratio(n, 2) * (n / 2.0) - 1.0) > 1e-12]
     check("gamma-identity-degree2", not bad, f"violations={len(bad)}")
 
-    root = np.random.SeedSequence(cfg.seed)
+    root = np.random.SeedSequence(args.seed)
     min_abs = transfer.builtin_function("min-abs")
     for n, child in zip((2, 5, 10), root.spawn(3)):
-        est = transfer.sphere_mean_direct(min_abs, n, cfg.samples, child)
+        est = transfer.sphere_mean_direct(min_abs, n, args.samples, child)
         ref = minima.emin(n, tol).value
         z = abs(est.point - ref) / est.std_error if est.std_error > 0 else 0.0
         check(f"sphere-vs-quadrature-n{n}", z <= 4.0,
               f"mc={_fmt(est.point)} quad={_fmt(ref)} z={z:.3f}")
 
     for f, child in zip(transfer.builtin_functions(), root.spawn(8)[3:]):
-        rep = transfer.transfer_identity_check(f, 3, cfg.samples, child)
+        rep = transfer.transfer_identity_check(f, 3, args.samples, child)
         check(f"transfer-identity-{f.name}-n3", rep.agree,
               f"z={rep.z_score:.3f}")
 
@@ -229,35 +220,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, dist=False, fn=False, mc=False):
-        p.add_argument("--n", type=int)
-        p.add_argument("--n-range", type=str)
-        p.add_argument("--tol", type=float, default=minima.DEFAULT_TOL)
+    def common(p, tol=True, dist=False):
+        ns = p.add_mutually_exclusive_group(required=True)
+        ns.add_argument("--n", type=int)
+        ns.add_argument("--n-range", type=parse_n_range)
+        if tol:
+            p.add_argument("--tol", type=float, default=minima.DEFAULT_TOL)
         if dist:
-            p.add_argument("--dist", type=str)
-        if fn:
-            p.add_argument("--fn", type=str, default="min-abs")
-        if mc:
-            p.add_argument("--samples", type=int, default=1_000_000)
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--dist", type=parse_distribution)
         p.add_argument("--format", dest="fmt", choices=("csv", "json", "table"),
                        default="table")
         p.add_argument("--output", type=str)
+        return p
 
     common(sub.add_parser("emin", help="mean min |x_i| over the unit sphere"))
     common(sub.add_parser("nmin", help="expected min |Z_i|, Z_i ~ N(0, 1/2)"))
     common(sub.add_parser("expected-min", help="expected minimum for a distribution"),
            dist=True)
     common(sub.add_parser("asymptotic", help="asymptotic law 1/(f(0)(n+1))"),
-           dist=True)
-    common(sub.add_parser("sphere-mean", help="direct Monte Carlo sphere mean"),
-           fn=True, mc=True)
-    sweep = sub.add_parser("sweep", help="run a command over an n-range")
-    common(sweep, dist=True)
+           tol=False, dist=True)
+    mean = common(sub.add_parser("sphere-mean", help="direct Monte Carlo sphere mean"),
+                  tol=False)
+    mean.add_argument("--fn", choices=[f.name for f in transfer.builtin_functions()],
+                      default="min-abs")
+    mean.add_argument("--samples", type=int, default=1_000_000)
+    mean.add_argument("--seed", type=int, default=0)
+    sweep = common(sub.add_parser("sweep", help="run a command over an n-range"), dist=True)
     sweep.add_argument("--command", dest="sweep_command", required=True,
                        choices=("emin", "nmin", "expected-min", "asymptotic"))
-    sweep.add_argument("--columns", type=str,
-                       default="n,value,error_bound,method")
+    sweep.add_argument("--columns", type=_parse_columns)
     verify = sub.add_parser("verify", help="cross-validation suite; exit 1 on failure")
     verify.add_argument("--tol", type=float, default=minima.DEFAULT_TOL)
     verify.add_argument("--samples", type=int, default=200_000)
@@ -266,82 +257,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.command == "verify":
-        return RunConfig(command="verify", ns=[], dist=None, function=None,
-                         tol=args.tol, samples=args.samples, seed=args.seed,
-                         fmt="table", output=args.output)
-    if args.n is not None and args.n_range is not None:
-        raise CliParseError("--n and --n-range are mutually exclusive")
-    if args.n is not None:
-        if args.n < 1:
-            raise CliParseError("--n must be >= 1")
-        ns = [args.n]
-    elif args.n_range is not None:
-        ns = parse_n_range(args.n_range)
-    else:
-        raise CliParseError("one of --n or --n-range is required")
-    if not (0.0 < args.tol <= 1e-2):
-        raise CliParseError("--tol must be in (0, 1e-2]")
-    dist = parse_distribution(args.dist) if getattr(args, "dist", None) else None
-    columns = None
-    if getattr(args, "columns", None):
-        columns = [c.strip() for c in args.columns.split(",") if c.strip()]
-        unknown = [c for c in columns if c not in SWEEP_COLUMNS]
-        if unknown:
-            raise CliParseError(f"unknown columns: {', '.join(unknown)}")
-    samples = getattr(args, "samples", 0)
-    if args.command == "sphere-mean" and samples < 2:
-        raise CliParseError("--samples must be >= 2")
-    return RunConfig(
-        command=args.command,
-        ns=ns,
-        dist=dist,
-        function=getattr(args, "fn", None),
-        tol=args.tol,
-        samples=samples,
-        seed=getattr(args, "seed", 0),
-        fmt=args.fmt,
-        output=args.output,
-        sweep_command=getattr(args, "sweep_command", None),
-        columns=columns,
-    )
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE_ERROR
-    try:
-        cfg = _config_from_args(args)
-    except CliParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
 
     buffer = io.StringIO()
     try:
-        if cfg.command == "verify":
-            code = _run_verify(cfg, buffer)
-        elif cfg.command == "sphere-mean":
-            code = _run_sphere_mean(cfg, buffer)
+        if args.command == "verify":
+            code = _run_verify(args, buffer)
+        elif args.command == "sphere-mean":
+            code = _run_sphere_mean(args, buffer)
         else:
-            code = _run_min_command(cfg, buffer)
-    except CliParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+            code = _run_min_command(args, buffer)
     except NonConvergentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENT
     except HypothesisViolatedError as exc:
         print(f"error: hypothesis ({exc.condition}) violated: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
+    except ValueError as exc:
+        # a value the library rejects: n < 1, tol outside (0, 1e-2],
+        # samples < 2, a negative seed, or a missing --dist
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
 
     text = buffer.getvalue()
-    if cfg.output:
-        with open(cfg.output, "w") as fh:
-            fh.write(text)
+    if args.output:
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARSE_ERROR
     else:
         sys.stdout.write(text)
     return code

@@ -1,9 +1,9 @@
 """Nonnegative random-variable models.
 
-A :class:`Distribution` bundles the CDF, survival function, log-survival
-function, density, and the two pieces of metadata the asymptotics and the
-quadrature need in closed form: the density at 0+ and a known exponent p
-with survival^p integrable.
+A :class:`Distribution` carries what the two routes to the expected
+minimum read: the log-survival function ln(1 - F(y)), from which the
+quadrature forms survival(y)^n in log space, the density at 0+ that the
+asymptotic law 1/(f(0)(n+1)) needs, and the upper end of the support.
 
 ``density_at_zero`` is a stored closed-form value, never a numerical
 limit: the asymptotic constant 1/(f(0)(n+1)) is exactly sensitive to it
@@ -19,32 +19,24 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .special import SQRT_PI, erfc, log_erfc
+from .special import SQRT_PI, log_erfc
 
 
 @dataclass(frozen=True)
 class Distribution:
     name: str
-    cdf: Callable[[float], float]
-    survival: Callable[[float], float]
     log_survival: Callable[[float], float]
-    density: Callable[[float], float]
     density_at_zero: Optional[float]  # None = undefined, math.inf allowed
     support_upper: float  # math.inf for unbounded support
-    tail_lp_exponent: Optional[float]  # known p with survival^p integrable, None = none known
 
 
 def half_normal() -> Distribution:
     """|Z| for Z normal with mean 0 and variance 1/2: cdf erf, survival erfc."""
     return Distribution(
         name="half-normal",
-        cdf=lambda y: math.erf(y),
-        survival=erfc,
         log_survival=log_erfc,
-        density=lambda y: (2.0 / SQRT_PI) * math.exp(-y * y),
         density_at_zero=2.0 / SQRT_PI,
         support_upper=math.inf,
-        tail_lp_exponent=1.0,
     )
 
 
@@ -54,13 +46,9 @@ def exponential(rate: float) -> Distribution:
         raise ValueError(f"exponential requires rate > 0, got {rate!r}")
     return Distribution(
         name=f"exponential:{rate:g}",
-        cdf=lambda y: -math.expm1(-rate * y),
-        survival=lambda y: math.exp(-rate * y),
         log_survival=lambda y: -rate * y,
-        density=lambda y: rate * math.exp(-rate * y),
         density_at_zero=rate,
         support_upper=math.inf,
-        tail_lp_exponent=1.0,
     )
 
 
@@ -68,13 +56,9 @@ def uniform01() -> Distribution:
     """Uniform on [0, 1]; the minimum of n draws has mean exactly 1/(n+1)."""
     return Distribution(
         name="uniform01",
-        cdf=lambda y: min(max(y, 0.0), 1.0),
-        survival=lambda y: max(1.0 - y, 0.0),
         log_survival=lambda y: math.log1p(-y) if y < 1.0 else -math.inf,
-        density=lambda y: 1.0 if 0.0 <= y <= 1.0 else 0.0,
         density_at_zero=1.0,
         support_upper=1.0,
-        tail_lp_exponent=1.0,
     )
 
 
@@ -88,32 +72,24 @@ def power_law(k: float) -> Distribution:
         raise ValueError(f"power_law requires k > 1, got {k!r}")
     return Distribution(
         name=f"power-law:{k:g}",
-        cdf=lambda y: min(max(y, 0.0), 1.0) ** k,
-        survival=lambda y: max(1.0 - min(max(y, 0.0), 1.0) ** k, 0.0),
         log_survival=lambda y: math.log1p(-(y**k)) if 0.0 <= y < 1.0 else (0.0 if y < 0 else -math.inf),
-        density=lambda y: k * y ** (k - 1.0) if 0.0 <= y <= 1.0 else 0.0,
         density_at_zero=0.0,
         support_upper=1.0,
-        tail_lp_exponent=1.0,
     )
 
 
 def heavy_tail(alpha: float) -> Distribution:
     """Survival (1+y)^(-alpha): polynomial tail.
 
-    survival^p is integrable for any p > 1/alpha; we record p = 2/alpha
-    as a definite witness.  For n*alpha <= 1 the expected minimum of n
-    draws is infinite and the quadrature reports nonconvergence.
+    survival^n is integrable exactly when n*alpha > 1.  For n*alpha <= 1
+    the expected minimum of n draws is infinite and the quadrature
+    reports nonconvergence.
     """
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"heavy_tail requires alpha > 0, got {alpha!r}")
     return Distribution(
         name=f"heavy-tail:{alpha:g}",
-        cdf=lambda y: -math.expm1(-alpha * math.log1p(y)),
-        survival=lambda y: (1.0 + y) ** (-alpha),
         log_survival=lambda y: -alpha * math.log1p(y),
-        density=lambda y: alpha * (1.0 + y) ** (-alpha - 1.0),
         density_at_zero=alpha,
         support_upper=math.inf,
-        tail_lp_exponent=2.0 / alpha,
     )

@@ -1,4 +1,6 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package, and the one check of the
+integer arguments (the dimension or draw count n, the degree d, the
+sample count) that the public routines share."""
 
 
 class SphereMinError(Exception):
@@ -19,8 +21,8 @@ class HypothesisViolatedError(SphereMinError, ValueError):
     """An asymptotic formula was requested for a distribution that violates
     one of its hypotheses.
 
-    ``condition`` is ``"density"`` (density at zero is 0, infinite, or
-    undefined) or ``"tail"`` (no integrable survival power is known).
+    ``condition`` names the hypothesis; ``"density"`` means the density at
+    zero is 0, infinite, or undefined.
     """
 
     def __init__(self, condition: str, message: str):
@@ -28,6 +30,7 @@ class HypothesisViolatedError(SphereMinError, ValueError):
         self.condition = condition
 
 
-class HypothesisWarning(UserWarning):
-    """Non-fatal hypothesis problem: the result is still returned, but the
-    asymptotic guarantee may not apply."""
+def _check_int(name: str, value: int, least: int = 1) -> None:
+    """Raise ValueError unless ``value`` is an int (not a bool) >= ``least``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")

@@ -9,12 +9,11 @@ half-ratio prefactor.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 from .distributions import Distribution, half_normal
-from .errors import HypothesisViolatedError, HypothesisWarning
+from .errors import HypothesisViolatedError, _check_int
 from .quadrature import survival_power_integral
 from .special import SQRT_PI, gamma_ratio
 
@@ -55,24 +54,16 @@ def emin(n: int, tol: float = DEFAULT_TOL) -> MinResult:
 def asymptotic_min(dist: Distribution, n: int) -> MinResult:
     """Large-n law E[min] ~ 1/(f(0)(n+1)).
 
-    Requires a positive finite density at 0 and some known integrable
-    survival power; no error bound is available, only the leading term.
+    Requires a positive finite density at 0; no error bound is available,
+    only the leading term.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    _check_int("n", n)
     f0 = dist.density_at_zero
     if f0 is None or not math.isfinite(f0) or f0 <= 0.0:
         raise HypothesisViolatedError(
             "density",
             f"{dist.name}: asymptotic minimum needs a finite nonvanishing "
             f"density at 0, but f(0+) is {'undefined' if f0 is None else f0}",
-        )
-    if dist.tail_lp_exponent is None:
-        warnings.warn(
-            f"{dist.name}: no integrable survival power is known; the "
-            "asymptotic law is not guaranteed to apply",
-            HypothesisWarning,
-            stacklevel=2,
         )
     return MinResult(n=n, value=1.0 / (f0 * (n + 1)), method="asymptotic", error_bound=None)
 
@@ -83,7 +74,5 @@ def emin_asymptotic(n: int) -> MinResult:
     Gamma(n/2)/Gamma((n+1)/2) * sqrt(pi)/(2(n+1)), which behaves like
     sqrt(pi/2) * n^(-3/2) for large n.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     value = gamma_ratio(n, 1) * SQRT_PI / (2.0 * (n + 1))
     return MinResult(n=n, value=value, method="asymptotic", error_bound=None)

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .distributions import Distribution
-from .errors import InvalidToleranceError, NonConvergentError
+from .errors import InvalidToleranceError, NonConvergentError, _check_int
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 _GL = list(zip(_GL_NODES.tolist(), _GL_WEIGHTS.tolist()))
@@ -63,12 +63,16 @@ def _integrate_panel(g, a, b, loc_tol, depth):
 
 
 def _tail_blocks(log_survival, n, y0):
-    """Upper bounds b_k * survival(b_k)^n for dyadic blocks [b_k, 2 b_k]."""
+    """Upper bounds b_k * survival(b_k)^n for dyadic blocks [b_k, 2 b_k],
+    ending with the first bound that underflows to 0."""
     out = []
     b = y0
     for _ in range(_MAX_TAIL_BLOCKS):
         arg = n * log_survival(b) + math.log(b)
-        out.append(math.exp(arg) if arg > _EXP_UNDERFLOW else 0.0)
+        if arg <= _EXP_UNDERFLOW:
+            out.append(0.0)
+            break
+        out.append(math.exp(arg))
         b *= 2.0
     return out
 
@@ -91,10 +95,10 @@ def _truncation(dist: Distribution, n: int, tail_budget: float):
     blocks = _tail_blocks(log_s, n, y0)
     # certify the remainder past the last block by the observed decay ratio
     last = blocks[-1]
-    prev = blocks[-2]
     if last == 0.0:
         remainder = 0.0
     else:
+        prev = blocks[-2]  # no block underflowed, so all _MAX_TAIL_BLOCKS are here
         ratio = last / prev if prev > 0.0 else 1.0
         if ratio > _TAIL_RATIO_CAP:
             raise NonConvergentError(
@@ -142,8 +146,7 @@ def survival_power_integral(dist: Distribution, n: int, tol: float) -> Quadratur
     ``tol`` is an absolute error target on the integral value (the value
     itself shrinks like 1/n, so relative targets are unstable).
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    _check_int("n", n)
     if not (isinstance(tol, float) and 0.0 < tol <= 1e-2):
         raise InvalidToleranceError(f"tol must be in (0, 1e-2], got {tol!r}")
 

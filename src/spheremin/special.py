@@ -1,15 +1,15 @@
 """Stable scalar special functions.
 
 Everything here is a pure function of its arguments.  The accuracy
-contracts (relative error <= 1e-14 for erfc on [0, 26], absolute error
-<= 1e-12 for log_erfc up to y = 1e4, relative error <= 1e-13 for
-ln_gamma on [0.5, 1e7]) are what the rest of the package relies on.
+contract (absolute error <= 1e-12 for log_erfc up to y = 1e4) is what the
+rest of the package relies on.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .errors import _check_int
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -18,16 +18,6 @@ SQRT_PI = math.sqrt(math.pi)
 # underflow threshold and the asymptotic expansion takes over.
 _LOG1P_CUTOFF = 0.5
 _ASYMPTOTIC_CUTOFF = 25.0
-
-
-def erfc(y: float) -> float:
-    """Complementary error function (2/sqrt(pi)) * int_y^inf exp(-x^2) dx.
-
-    Defined here for y >= 0 only; underflows to 0 past y ~ 26.6.
-    """
-    if not math.isfinite(y) or y < 0.0:
-        raise ValueError(f"erfc requires finite y >= 0, got {y!r}")
-    return math.erfc(y)
 
 
 def log_erfc(y: float) -> float:
@@ -57,13 +47,6 @@ def log_erfc(y: float) -> float:
     return -y * y - math.log(y * SQRT_PI) + math.log(total)
 
 
-def ln_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0):
-        raise ValueError(f"ln_gamma requires finite x > 0, got {x!r}")
-    return math.lgamma(x)
-
-
 def gamma_ratio(n: int, d: int) -> float:
     """Gamma(n/2) / Gamma((n+d)/2), computed in log space.
 
@@ -71,22 +54,9 @@ def gamma_ratio(n: int, d: int) -> float:
     conversion factor between Gaussian-space and sphere-space means of
     d-homogeneous functions.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"gamma_ratio requires integer n >= 1, got {n!r}")
-    if not isinstance(d, int) or isinstance(d, bool) or d < 0 or n + d < 1:
-        raise ValueError(f"gamma_ratio requires integer d >= 0, got {d!r}")
+    _check_int("n", n)
+    _check_int("d", d, 0)
     if d == 0:
         return 1.0
     return math.exp(math.lgamma(n / 2.0) - math.lgamma((n + d) / 2.0))
 
-
-@dataclass(frozen=True)
-class GammaHalfRatio:
-    """The ratio Gamma(n/2) / Gamma((n+1)/2) for a given n."""
-
-    n: int
-    value: float
-
-
-def gamma_half_ratio(n: int) -> GammaHalfRatio:
-    return GammaHalfRatio(n=n, value=gamma_ratio(n, 1))

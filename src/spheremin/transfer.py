@@ -20,6 +20,7 @@ from typing import Callable, List, Union
 
 import numpy as np
 
+from .errors import _check_int
 from .special import gamma_ratio
 
 SeedLike = Union[int, np.random.SeedSequence]
@@ -93,10 +94,6 @@ def builtin_function(name: str) -> HomogeneousFunction:
                    + ", ".join(f.name for f in builtin_functions()))
 
 
-def _as_rng(seed: SeedLike) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 def _chunks(samples: int, n: int):
     rows = max(1, _CHUNK_ELEMENTS // n)
     done = 0
@@ -127,7 +124,7 @@ def sphere_mean_from_gaussian(
     """Estimate the spherical mean of f via Gaussian draws and the exact
     gamma-ratio transfer factor."""
     _check_args(n, samples)
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     root_half = math.sqrt(0.5)
 
     def draw(take: int) -> np.ndarray:
@@ -144,7 +141,7 @@ def sphere_mean_direct(
     """Estimate the spherical mean of f by uniform sampling on S^(n-1)
     (normalized iid Gaussian vectors)."""
     _check_args(n, samples)
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
 
     def draw(take: int) -> np.ndarray:
         x = rng.standard_normal((take, n))
@@ -185,7 +182,5 @@ def transfer_identity_check(
 
 
 def _check_args(n: int, samples: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 2:
-        raise ValueError(f"samples must be an integer >= 2, got {samples!r}")
+    _check_int("n", n)
+    _check_int("samples", samples, 2)

@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from spheremin.cli import (
@@ -19,6 +20,7 @@ from spheremin.cli import (
     parse_n_range,
 )
 from spheremin.minima import nmin
+from spheremin.transfer import builtin_function, sphere_mean_direct
 
 
 def run(argv, capsys):
@@ -143,6 +145,21 @@ class TestExitCodes:
         assert code == EXIT_HYPOTHESIS
         assert "density" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--tol", "0.5"],
+        ["verify", "--samples", "1"],
+        ["emin", "--n", "0"],
+        ["sphere-mean", "--n", "3", "--samples", "1"],
+        ["sphere-mean", "--n", "3", "--tol", "1e-8"],
+        ["sphere-mean", "--n", "3", "--fn", "nope"],
+        ["emin", "--n", "1", "--output", "."],
+    ])
+    def test_bad_value_is_a_parse_error(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == EXIT_PARSE_ERROR
+        assert out == ""
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
 
 class TestReproducibilityAndRoundTrip:
     def test_identical_config_identical_bytes(self, capsys):
@@ -159,6 +176,18 @@ class TestReproducibilityAndRoundTrip:
             n = int(n_str)
             assert float(value_str) == nmin(n).value  # 17 sig digits round-trip
             assert math.isfinite(float(bound_str))
+
+    def test_sphere_mean_rows_use_spawned_seeds(self, capsys):
+        # row i of an n-range is seeded by child i of SeedSequence(--seed)
+        _, out, _ = run(["sphere-mean", "--n-range", "2:6:1", "--samples", "1000",
+                         "--seed", "3", "--format", "csv"], capsys)
+        rows = out.strip().splitlines()[1:]
+        children = np.random.SeedSequence(3).spawn(5)
+        assert len(rows) == 5
+        for i, line in enumerate(rows):
+            n, _, point, std_error, _ = line.split(",")
+            est = sphere_mean_direct(builtin_function("min-abs"), int(n), 1000, children[i])
+            assert (int(n), float(point), float(std_error)) == (i + 2, est.point, est.std_error)
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "rows.csv"

@@ -1,13 +1,14 @@
-"""Distribution invariants: CDF/survival/log-survival consistency, density
-agreement with a finite-difference derivative, and unit total mass via an
-independent adaptive quadrature."""
+"""Distribution invariants, each stated through the two things the
+computations read, log_survival and density_at_zero: agreement with
+scipy.stats, the range and monotonicity of the CDF 1 - exp(log_survival),
+unit total mass, and f(0+) as the one-sided derivative of that CDF."""
 
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.integrate import quad
+from scipy import stats
 
 from spheremin.distributions import (
     exponential,
@@ -16,10 +17,24 @@ from spheremin.distributions import (
     power_law,
     uniform01,
 )
-from spheremin.special import erfc
+from spheremin.quadrature import survival_power_integral
 
-ALL = [half_normal(), exponential(1.0), exponential(2.0), uniform01(),
-       power_law(2.0), heavy_tail(1.0), heavy_tail(0.5)]
+# every model beside its scipy.stats reference
+CASES = [
+    (half_normal(), stats.halfnorm(scale=2**-0.5)),
+    (exponential(1.0), stats.expon(scale=1.0)),
+    (exponential(2.0), stats.expon(scale=0.5)),
+    (uniform01(), stats.uniform()),
+    (power_law(2.0), stats.powerlaw(2.0)),
+    (heavy_tail(1.0), stats.lomax(1.0)),
+    (heavy_tail(0.5), stats.lomax(0.5)),
+]
+ALL = [dist for dist, _ in CASES]
+REFERENCE = {dist.name: ref for dist, ref in CASES}
+
+
+def cdf(dist, y):
+    return -math.expm1(dist.log_survival(y))
 
 
 def interior_grid(dist):
@@ -30,48 +45,41 @@ def interior_grid(dist):
 @pytest.mark.parametrize("dist", ALL, ids=lambda d: d.name)
 class TestCommonInvariants:
     def test_cdf_zero_at_origin(self, dist):
-        assert dist.cdf(0.0) == 0.0
+        assert cdf(dist, 0.0) == 0.0
 
     def test_cdf_in_unit_interval_and_nondecreasing(self, dist):
-        vals = [dist.cdf(float(y)) for y in interior_grid(dist)]
+        vals = [cdf(dist, float(y)) for y in interior_grid(dist)]
         assert all(0.0 <= v <= 1.0 for v in vals)
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
     def test_survival_complements_cdf(self, dist):
+        ref = REFERENCE[dist.name]
         for y in interior_grid(dist):
-            s = dist.survival(float(y))
-            if s > 1e-10:
-                assert dist.cdf(float(y)) + s == pytest.approx(1.0, abs=1e-12)
+            s = math.exp(dist.log_survival(float(y)))
+            assert ref.cdf(y) + s == pytest.approx(1.0, abs=1e-12)
 
     def test_log_survival_matches_survival(self, dist):
+        ref = REFERENCE[dist.name]
         for y in interior_grid(dist):
-            s = dist.survival(float(y))
-            if s > 1e-300:
-                assert math.exp(dist.log_survival(float(y))) == pytest.approx(
-                    s, abs=1e-12, rel=1e-12
-                )
-            assert dist.log_survival(float(y)) <= 0.0
+            assert dist.log_survival(float(y)) == pytest.approx(ref.logsf(y), rel=1e-12, abs=1e-12)
+        assert dist.density_at_zero == ref.pdf(0.0)
 
     def test_density_matches_cdf_derivative(self, dist):
-        h = 1e-5
-        hi = dist.support_upper if math.isfinite(dist.support_upper) else 5.0
-        for y in np.linspace(0.1, hi - 0.1, 20):
-            numeric = (dist.cdf(float(y) + h) - dist.cdf(float(y) - h)) / (2 * h)
-            assert numeric == pytest.approx(dist.density(float(y)), abs=1e-6)
+        h = 1e-7
+        assert cdf(dist, h) / h == pytest.approx(dist.density_at_zero, abs=1e-6)
 
     def test_density_integrates_to_one(self, dist):
-        hi = dist.support_upper if math.isfinite(dist.support_upper) else np.inf
-        mass, _ = quad(dist.density, 0.0, hi)
-        assert mass == pytest.approx(1.0, abs=1e-8)
+        # the CDF reaches 1 at the top of the support
+        top = dist.support_upper if math.isfinite(dist.support_upper) else 1e30
+        assert cdf(dist, top) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestHalfNormal:
     def test_matches_erfc(self):
         d = half_normal()
-        assert d.cdf(0.0) == 0.0
-        assert d.survival(1.0) == pytest.approx(0.15729920705028513, rel=1e-14)
+        assert math.exp(d.log_survival(1.0)) == pytest.approx(0.15729920705028513, rel=1e-14)
         for y in np.linspace(0.0, 5.0, 100):
-            assert d.cdf(float(y)) + erfc(float(y)) == pytest.approx(1.0, abs=1e-14)
+            assert math.exp(d.log_survival(float(y))) == pytest.approx(math.erfc(float(y)), rel=1e-13)
 
     def test_density_at_zero(self):
         assert half_normal().density_at_zero == pytest.approx(
@@ -79,12 +87,12 @@ class TestHalfNormal:
         )
 
     def test_tail_metadata(self):
-        assert half_normal().tail_lp_exponent == 1.0
+        assert half_normal().support_upper == math.inf
 
 
 class TestExponential:
     def test_survival(self):
-        assert exponential(1.0).survival(1.0) == pytest.approx(
+        assert math.exp(exponential(1.0).log_survival(1.0)) == pytest.approx(
             0.36787944117144233, rel=1e-15
         )
 
@@ -104,8 +112,8 @@ class TestExponential:
 class TestUniform01:
     def test_values(self):
         d = uniform01()
-        assert d.cdf(0.25) == 0.25
-        assert d.survival(2.0) == 0.0
+        assert cdf(d, 0.25) == pytest.approx(0.25, rel=1e-15)
+        assert d.log_survival(2.0) == -math.inf
         assert d.density_at_zero == 1.0
         assert d.support_upper == 1.0
 
@@ -113,8 +121,8 @@ class TestUniform01:
 class TestPowerLaw:
     def test_values(self):
         d = power_law(2.0)
-        assert d.cdf(0.5) == 0.25
-        assert d.survival(0.5) == 0.75
+        assert cdf(d, 0.5) == pytest.approx(0.25, rel=1e-15)
+        assert math.exp(d.log_survival(0.5)) == pytest.approx(0.75, rel=1e-15)
         assert d.density_at_zero == 0.0
 
     def test_rejects_k_not_above_one(self):
@@ -125,13 +133,15 @@ class TestPowerLaw:
 class TestHeavyTail:
     def test_values(self):
         d = heavy_tail(1.0)
-        assert d.survival(1.0) == 0.5
+        assert math.exp(d.log_survival(1.0)) == pytest.approx(0.5, rel=1e-15)
         assert d.density_at_zero == 1.0
 
     def test_tail_exponent_witness(self):
-        # recorded p must make survival^p integrable: p * alpha > 1
-        for alpha in (0.25, 0.5, 1.0, 3.0):
-            assert heavy_tail(alpha).tail_lp_exponent * alpha > 1.0
+        # survival^n is integrable once n * alpha > 1; at n * alpha = 2 the
+        # integral of (1+y)^(-n alpha) is exactly 1
+        for alpha in (0.25, 0.5, 1.0, 2.0):
+            res = survival_power_integral(heavy_tail(alpha), round(2.0 / alpha), 1e-8)
+            assert res.value == pytest.approx(1.0, abs=1e-8)
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
@@ -140,8 +150,7 @@ class TestHeavyTail:
 
 @given(st.floats(min_value=0.0, max_value=8.0))
 def test_half_normal_cdf_survival_sum(y):
-    d = half_normal()
-    assert d.cdf(y) + d.survival(y) == pytest.approx(1.0, abs=1e-12)
+    assert math.erf(y) + math.exp(half_normal().log_survival(y)) == pytest.approx(1.0, abs=1e-12)
 
 
 @given(st.floats(min_value=0.0, max_value=50.0),

@@ -6,6 +6,7 @@ Half-normal n=2 is the mpmath oracle for the integral of erfc^2.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -97,6 +98,21 @@ def test_result_fields():
     assert res.abs_error_bound >= 0.0
     assert res.panels >= 1
     assert res.converged == (res.abs_error_bound <= 1e-10)
+
+
+def test_tail_scan_stops_once_blocks_underflow():
+    # the dyadic tail scan ends at the first block whose bound is 0, not
+    # after a fixed 600 blocks
+    calls = []
+    base = half_normal()
+
+    def counted(y):
+        calls.append(y)
+        return base.log_survival(y)
+
+    res = survival_power_integral(replace(base, log_survival=counted), 10, 1e-10)
+    assert res.value == survival_power_integral(base, 10, 1e-10).value
+    assert len(calls) <= 300
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-5, 0.5, 1.0])

@@ -7,13 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spheremin.special import (
-    erfc,
-    gamma_half_ratio,
-    gamma_ratio,
-    ln_gamma,
-    log_erfc,
-)
+from spheremin.special import gamma_ratio, log_erfc
 
 # mpmath oracles, 40 digits, rounded to binary64
 ERFC_1 = 0.15729920705028513
@@ -26,26 +20,27 @@ SQRT_PI = 1.7724538509055159
 
 
 class TestErfc:
+    """erfc as the half-normal survival function, exp(log_erfc(y))."""
+
     def test_zero(self):
-        assert erfc(0.0) == 1.0
+        assert math.exp(log_erfc(0.0)) == 1.0
 
     @pytest.mark.parametrize("y,expected", [(1.0, ERFC_1), (10.0, ERFC_10)])
     def test_oracle_values(self, y, expected):
-        assert erfc(y) == pytest.approx(expected, rel=1e-14)
+        assert math.exp(log_erfc(y)) == pytest.approx(expected, rel=1e-14)
 
     def test_strictly_decreasing(self):
-        # strict while the value is a normal float; past y ~ 26.6 erfc
-        # hits subnormal plateaus and finally exact 0
+        # in log space there are no subnormal plateaus: strict all the way,
+        # well past y ~ 26.6 where erfc itself underflows to 0
         ys = np.arange(0.0, 30.0, 1e-3)
-        vals = [erfc(float(y)) for y in ys]
-        assert all(a > b or a < 1e-300 for a, b in zip(vals, vals[1:]))
-        assert all(a >= b for a, b in zip(vals, vals[1:]))
-        assert vals[0] == 1.0 and vals[-1] == 0.0
+        vals = [log_erfc(float(y)) for y in ys]
+        assert all(a > b for a, b in zip(vals, vals[1:]))
+        assert vals[0] == 0.0 and math.isfinite(vals[-1])
 
     @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
     def test_rejects_bad_input(self, bad):
         with pytest.raises(ValueError):
-            erfc(bad)
+            log_erfc(bad)
 
 
 class TestLogErfc:
@@ -62,13 +57,13 @@ class TestLogErfc:
     def test_matches_erfc_on_grid(self):
         # |exp(log_erfc) - erfc| <= 1e-14 wherever erfc > 1e-300
         for y in np.geomspace(1e-8, 20.0, 300):
-            e = erfc(float(y))
+            e = math.erfc(float(y))
             if e > 1e-300:
                 assert abs(math.exp(log_erfc(float(y))) - e) <= 1e-14
 
     @given(st.floats(min_value=1e-8, max_value=25.0))
     def test_consistent_with_erfc(self, y):
-        assert math.exp(log_erfc(y)) == pytest.approx(erfc(y), rel=1e-12)
+        assert math.exp(log_erfc(y)) == pytest.approx(math.erfc(y), rel=1e-12)
 
     def test_regime_boundaries_are_continuous(self):
         for edge in (0.5, 25.0):
@@ -78,15 +73,17 @@ class TestLogErfc:
 
 
 class TestLnGamma:
+    """ln Gamma at n/2 and (n+d)/2, as gamma_ratio reads it from math.lgamma."""
+
     def test_known_values(self):
-        assert ln_gamma(1.0) == 0.0
-        assert ln_gamma(0.5) == pytest.approx(math.log(SQRT_PI), rel=1e-13)
-        assert ln_gamma(10.0) == pytest.approx(math.log(362880.0), rel=1e-13)
+        assert gamma_ratio(2, 2) == 1.0  # Gamma(1) / Gamma(2)
+        assert gamma_ratio(2, 18) == pytest.approx(1.0 / 362880.0, rel=1e-13)
+        assert gamma_ratio(1, 19) == pytest.approx(SQRT_PI / 362880.0, rel=1e-13)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf])
     def test_rejects_nonpositive(self, bad):
         with pytest.raises(ValueError):
-            ln_gamma(bad)
+            gamma_ratio(bad, 1)
 
 
 class TestGammaRatio:
@@ -120,16 +117,10 @@ class TestGammaRatio:
 
     def test_consistency_with_ln_gamma(self):
         for n in range(1, 20):
-            direct = math.exp(ln_gamma((n + 1) / 2.0) - ln_gamma(n / 2.0))
+            direct = math.exp(math.lgamma((n + 1) / 2.0) - math.lgamma(n / 2.0))
             assert gamma_ratio(n, 1) * direct == pytest.approx(1.0, rel=1e-13)
 
     @pytest.mark.parametrize("n,d", [(0, 1), (-3, 1), (2, -1), (1.5, 1)])
     def test_rejects_bad_args(self, n, d):
         with pytest.raises(ValueError):
             gamma_ratio(n, d)
-
-    def test_half_ratio_wrapper(self):
-        r = gamma_half_ratio(7)
-        assert r.n == 7
-        assert r.value == gamma_ratio(7, 1)
-        assert r.value > 0

@@ -3,7 +3,8 @@
 Subcommands: nmin, emin, expected-min, asymptotic, sphere-mean, sweep,
 verify.  Data rows go to stdout (csv, json, or an aligned table);
 diagnostics go to stderr.  Exit codes: 0 ok, 1 verify failure, 2 parse
-error, 3 nonconvergent integral, 4 violated asymptotic hypothesis.
+error, 3 nonconvergent integral (or rows written whose error bound is above
+--tol, with one warning line), 4 violated asymptotic hypothesis.
 """
 
 from __future__ import annotations
@@ -88,6 +89,16 @@ def _parse_columns(spec: str) -> List[str]:
     return columns
 
 
+def _parse_seed(text: str) -> int:
+    """A --seed: a non-negative integer, as numpy's SeedSequence needs."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise CliParseError(f"must be a non-negative integer, got {text!r}")
+
+
 def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.17g}"
@@ -135,13 +146,20 @@ def _run_min_command(args: argparse.Namespace, out: io.TextIOBase) -> int:
     if command in ("expected-min", "asymptotic") and args.dist is None:
         raise CliParseError(f"{command} requires --dist")
     columns = getattr(args, "columns", None) or ["n", "value", "error_bound", "method"]
-    rows = []
+    rows, unconverged = [], []
     for n in args.n_range or [args.n]:
         res = _compute_min(command, args, n)
         row = _min_row(res)
         row["scaled"] = (n + 1) * res.value
         rows.append(row)
+        if res.converged is False:
+            unconverged.append(n)
     _emit(rows, columns, args.fmt, out)
+    if unconverged:
+        print(f"warning: {len(unconverged)} of {len(rows)} rows did not converge "
+              f"(error_bound above --tol {args.tol:g}), first at n={unconverged[0]}",
+              file=sys.stderr)
+        return EXIT_NONCONVERGENT
     return EXIT_OK
 
 
@@ -244,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     mean.add_argument("--fn", choices=[f.name for f in transfer.builtin_functions()],
                       default="min-abs")
     mean.add_argument("--samples", type=int, default=1_000_000)
-    mean.add_argument("--seed", type=int, default=0)
+    mean.add_argument("--seed", type=_parse_seed, default=0)
     sweep = common(sub.add_parser("sweep", help="run a command over an n-range"), dist=True)
     sweep.add_argument("--command", dest="sweep_command", required=True,
                        choices=("emin", "nmin", "expected-min", "asymptotic"))
@@ -252,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="cross-validation suite; exit 1 on failure")
     verify.add_argument("--tol", type=float, default=minima.DEFAULT_TOL)
     verify.add_argument("--samples", type=int, default=200_000)
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--seed", type=_parse_seed, default=0)
     verify.add_argument("--output", type=str)
     return parser
 
@@ -280,7 +298,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_HYPOTHESIS
     except ValueError as exc:
         # a value the library rejects: n < 1, tol outside (0, 1e-2],
-        # samples < 2, a negative seed, or a missing --dist
+        # samples < 2, or a missing --dist
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
 

@@ -26,12 +26,14 @@ class MinResult:
     value: float
     method: str  # "quadrature" or "asymptotic"
     error_bound: Optional[float]  # None = unknown (asymptotic route)
+    converged: Optional[bool]  # the quadrature met tol; None on the asymptotic route
 
 
 def expected_min(dist: Distribution, n: int, tol: float = DEFAULT_TOL) -> MinResult:
     """E[min of n iid draws] = int_0^inf survival(y)^n dy."""
     res = survival_power_integral(dist, n, tol)
-    return MinResult(n=n, value=res.value, method="quadrature", error_bound=res.abs_error_bound)
+    return MinResult(n=n, value=res.value, method="quadrature",
+                     error_bound=res.abs_error_bound, converged=res.converged)
 
 
 def nmin(n: int, tol: float = DEFAULT_TOL) -> MinResult:
@@ -47,8 +49,8 @@ def emin(n: int, tol: float = DEFAULT_TOL) -> MinResult:
     """
     base = nmin(n, tol)
     factor = gamma_ratio(n, 1)
-    bound = factor * base.error_bound if base.error_bound is not None else None
-    return MinResult(n=n, value=factor * base.value, method="quadrature", error_bound=bound)
+    return MinResult(n=n, value=factor * base.value, method="quadrature",
+                     error_bound=factor * base.error_bound, converged=base.converged)
 
 
 def asymptotic_min(dist: Distribution, n: int) -> MinResult:
@@ -65,7 +67,8 @@ def asymptotic_min(dist: Distribution, n: int) -> MinResult:
             f"{dist.name}: asymptotic minimum needs a finite nonvanishing "
             f"density at 0, but f(0+) is {'undefined' if f0 is None else f0}",
         )
-    return MinResult(n=n, value=1.0 / (f0 * (n + 1)), method="asymptotic", error_bound=None)
+    return MinResult(n=n, value=1.0 / (f0 * (n + 1)), method="asymptotic",
+                     error_bound=None, converged=None)
 
 
 def emin_asymptotic(n: int) -> MinResult:
@@ -75,4 +78,4 @@ def emin_asymptotic(n: int) -> MinResult:
     sqrt(pi/2) * n^(-3/2) for large n.
     """
     value = gamma_ratio(n, 1) * SQRT_PI / (2.0 * (n + 1))
-    return MinResult(n=n, value=value, method="asymptotic", error_bound=None)
+    return MinResult(n=n, value=value, method="asymptotic", error_bound=None, converged=None)

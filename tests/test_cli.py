@@ -138,6 +138,16 @@ class TestExitCodes:
         )
         assert code == EXIT_NONCONVERGENT
 
+    def test_unconverged_row_warns(self, capsys):
+        # every row is written; one warning line, and exit 3
+        argv = ["expected-min", "--dist", "exponential:1e-8", "--n-range", "1:3:1",
+                "--format", "csv"]
+        code, out, err = run(argv, capsys)
+        assert code == EXIT_NONCONVERGENT
+        assert len(out.strip().splitlines()) == 4
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning:")
+
     def test_hypothesis_violated(self, capsys):
         code, _, err = run(
             ["asymptotic", "--dist", "power-law:2", "--n", "10"], capsys
@@ -153,12 +163,17 @@ class TestExitCodes:
         ["sphere-mean", "--n", "3", "--tol", "1e-8"],
         ["sphere-mean", "--n", "3", "--fn", "nope"],
         ["emin", "--n", "1", "--output", "."],
+        ["verify", "--seed", "-1"],
+        ["sphere-mean", "--n", "3", "--seed", "-1"],
     ])
     def test_bad_value_is_a_parse_error(self, argv, capsys):
         code, out, err = run(argv, capsys)
         assert code == EXIT_PARSE_ERROR
         assert out == ""
-        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        if "--seed" in argv:
+            assert "--seed" in errors[0]
 
 
 class TestReproducibilityAndRoundTrip:

@@ -63,6 +63,18 @@ class TestExpectedMin:
         with pytest.raises(NonConvergentError):
             expected_min(heavy_tail(0.5), 1)
 
+    def test_unconverged_is_reported(self):
+        # a mean of 1e8 cannot be bounded to 1e-10, 1e-18 of its value
+        r = expected_min(exponential(1e-8), 1)
+        assert r.converged is False
+        assert r.error_bound > 1e-10
+
+    def test_converged_is_passed_through(self):
+        assert emin(10).converged is True
+        assert nmin(10).converged is True
+        assert asymptotic_min(exponential(1.0), 10).converged is None
+        assert emin_asymptotic(10).converged is None
+
 
 class TestAsymptoticMin:
     def test_plug_in(self):

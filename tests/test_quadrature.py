@@ -5,18 +5,29 @@ Closed forms: exponential(rate) gives 1/(n*rate); uniform01 gives
 Half-normal n=2 is the mpmath oracle for the integral of erfc^2.
 """
 
+import json
 import math
+import os
+import time
 from dataclasses import replace
 
+import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from spheremin.distributions import exponential, half_normal, heavy_tail, uniform01
+from spheremin.distributions import exponential, half_normal, heavy_tail, power_law, uniform01
 from spheremin.errors import InvalidToleranceError, NonConvergentError
-from spheremin.quadrature import survival_power_integral
+from spheremin.quadrature import _WG, _WK, _XK, survival_power_integral
 
 INV_SQRT_PI = 0.5641895835477563
 ERFC_SQUARED_INTEGRAL = 0.3304946062926472  # mpmath, (2-sqrt(2))/sqrt(pi)
+EPS = 2.0**-52
+
+# int_0^inf erfc(y)^n dy at 40 digits, for n = 1..200 and n = 10^k, k <= 6
+# (the benchmark's oracle cache; rebuilt by bench/oracle.py --rebuild)
+_CACHE = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "oracle_cache.json")
+with open(_CACHE) as _fh:
+    ERFC_POWER_INTEGRAL = {int(n): float(v) for n, v in json.load(_fh)["erfc_power_integral"].items()}
 
 NS = [1, 2, 10, 100, 10**4]
 
@@ -100,18 +111,26 @@ def test_result_fields():
     assert res.converged == (res.abs_error_bound <= 1e-10)
 
 
-def test_tail_scan_stops_once_blocks_underflow():
-    # the dyadic tail scan ends at the first block whose bound is 0, not
-    # after a fixed 600 blocks
+def _counting(dist, limit=10**6):
+    """dist with a log_survival that records each point it is called at,
+    and raises after ``limit`` calls so that a runaway call fails."""
     calls = []
-    base = half_normal()
 
     def counted(y):
         calls.append(y)
-        return base.log_survival(y)
+        if len(calls) > limit:
+            raise RuntimeError(f"more than {limit} log_survival calls")
+        return dist.log_survival(y)
 
-    res = survival_power_integral(replace(base, log_survival=counted), 10, 1e-10)
-    assert res.value == survival_power_integral(base, 10, 1e-10).value
+    return replace(dist, log_survival=counted), calls
+
+
+def test_tail_scan_stops_once_blocks_underflow():
+    # the dyadic tail scan ends at the first block whose bound is 0, not
+    # after a fixed 600 blocks
+    counted, calls = _counting(half_normal())
+    res = survival_power_integral(counted, 10, 1e-10)
+    assert res.value == survival_power_integral(half_normal(), 10, 1e-10).value
     assert len(calls) <= 300
 
 
@@ -140,3 +159,69 @@ def test_exponential_property(n, rate):
 def test_uniform_property(n):
     res = survival_power_integral(uniform01(), n, 1e-11)
     assert res.value == pytest.approx(1.0 / (n + 1), abs=1e-10)
+
+
+def test_kronrod_table_is_exact():
+    # K21 integrates polynomials of degree <= 31 exactly, G10 those of degree <= 19
+    for k in range(32):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        kronrod = math.fsum(w * x**k for w, x in zip(_WK, _XK))
+        assert abs(kronrod - exact) <= 1e-15
+        if k <= 19:
+            gauss = math.fsum(w * x**k for w, x in zip(_WG, _XK[1::2]))
+            assert abs(gauss - exact) <= 1e-15
+
+
+def _exact(family, param, n):
+    """The integral for the float parameter the distribution is given."""
+    with mp.workdps(30):
+        if family == "exponential":
+            return exponential(param), float(1 / (n * mp.mpf(param)))
+        if family == "uniform01":
+            return uniform01(), float(mp.mpf(1) / (n + 1))
+        if family == "power_law":
+            inv = 1 / mp.mpf(param)
+            return power_law(param), float(mp.beta(inv, n + 1) * inv)
+        if family == "heavy_tail":
+            return heavy_tail(param), float(1 / (n * mp.mpf(param) - 1))
+    return half_normal(), ERFC_POWER_INTEGRAL[n]
+
+
+@settings(max_examples=200, deadline=None)
+@given(family=st.sampled_from(["exponential", "uniform01", "power_law", "heavy_tail", "half_normal"]),
+       param=st.floats(min_value=0.0, max_value=1.0),
+       n=st.integers(min_value=1, max_value=10**6),
+       hn=st.sampled_from(sorted(ERFC_POWER_INTEGRAL)),
+       tol=st.sampled_from([1e-4, 1e-10, 1e-13]))
+def test_error_bound_is_honest(family, param, n, hn, tol):
+    # log-uniform rate in [1e-3, 1e3], k in [1.01, 20] and alpha in [0.05, 10];
+    # n * alpha stays above 1.2, since the tail test of _truncation still
+    # calls some finite means with n * alpha near 1 divergent
+    param = {"exponential": 1e-3 * 1e6**param, "power_law": 1.01 * (20 / 1.01)**param,
+             "heavy_tail": 0.05 * 200.0**param}.get(family, param)
+    if family == "half_normal":
+        n = hn
+    assume(family != "heavy_tail" or n * param >= 1.2)
+    dist, exact = _exact(family, param, n)
+    res = survival_power_integral(dist, n, tol)
+    assert res.converged and res.abs_error_bound <= tol
+    assert abs(res.value - exact) <= res.abs_error_bound + 8 * EPS * exact
+
+
+def test_nmin10_evaluation_count():
+    # 21 evaluations per panel of the G10/K21 rule; the coarse/fine
+    # Gauss-Legendre pair, at 60 per panel, made 246 calls here
+    counted, calls = _counting(half_normal())
+    survival_power_integral(counted, 10, 1e-10)
+    assert len(calls) <= 100
+
+
+def test_unreachable_tolerance_ends_unconverged():
+    # the rounding noise of the panel estimate lies above 4e-16 of the value,
+    # so every panel wants splitting: the leaf budget must end the call
+    counted, _ = _counting(half_normal())
+    t0 = time.perf_counter()
+    res = survival_power_integral(counted, 10, 1e-300)
+    assert time.perf_counter() - t0 < 5.0
+    assert res.converged is False
+    assert abs(res.value - ERFC_POWER_INTEGRAL[10]) <= 1e-15

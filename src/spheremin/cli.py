@@ -186,26 +186,27 @@ def _run_verify(args: argparse.Namespace, out: io.TextIOBase) -> int:
     for every built-in function."""
     checks = []
 
-    def check(name: str, ok: bool, detail: str) -> None:
+    def check(name: str, ok: bool, detail: str, converged: bool = True) -> None:
+        # a value whose quadrature missed --tol fails, however close it is
+        if not converged:
+            ok, detail = False, detail + " converged=False"
         checks.append(ok)
         out.write(f"{'PASS' if ok else 'FAIL'}  {name}  {detail}\n")
 
+    def quadrature(name: str, res: minima.MinResult, expect: float) -> None:
+        check(name, abs(res.value - expect) <= 1e-9,
+              f"value={_fmt(res.value)} expect={_fmt(expect)}", res.converged)
+
     tol = args.tol
     for n in (1, 10, 100):
-        v = minima.expected_min(dists.exponential(1.0), n, tol).value
-        check(f"quadrature-exponential-n{n}", abs(v - 1.0 / n) <= 1e-9,
-              f"value={_fmt(v)} expect={_fmt(1.0 / n)}")
+        quadrature(f"quadrature-exponential-n{n}",
+                   minima.expected_min(dists.exponential(1.0), n, tol), 1.0 / n)
     for n in (1, 9, 99):
-        v = minima.expected_min(dists.uniform01(), n, tol).value
-        check(f"quadrature-uniform01-n{n}", abs(v - 1.0 / (n + 1)) <= 1e-9,
-              f"value={_fmt(v)} expect={_fmt(1.0 / (n + 1))}")
-    v = minima.nmin(1, tol).value
-    check("quadrature-half-normal-n1", abs(v - 1.0 / SQRT_PI) <= 1e-9,
-          f"value={_fmt(v)} expect={_fmt(1.0 / SQRT_PI)}")
-    v = minima.nmin(2, tol).value
-    ref = (2.0 - math.sqrt(2.0)) / SQRT_PI
-    check("quadrature-half-normal-n2", abs(v - ref) <= 1e-9,
-          f"value={_fmt(v)} expect={_fmt(ref)}")
+        quadrature(f"quadrature-uniform01-n{n}",
+                   minima.expected_min(dists.uniform01(), n, tol), 1.0 / (n + 1))
+    quadrature("quadrature-half-normal-n1", minima.nmin(1, tol), 1.0 / SQRT_PI)
+    quadrature("quadrature-half-normal-n2", minima.nmin(2, tol),
+               (2.0 - math.sqrt(2.0)) / SQRT_PI)
 
     bad = [n for n in range(1, 1001)
            if abs(gamma_ratio(n, 2) * (n / 2.0) - 1.0) > 1e-12]
@@ -215,10 +216,10 @@ def _run_verify(args: argparse.Namespace, out: io.TextIOBase) -> int:
     min_abs = transfer.builtin_function("min-abs")
     for n, child in zip((2, 5, 10), root.spawn(3)):
         est = transfer.sphere_mean_direct(min_abs, n, args.samples, child)
-        ref = minima.emin(n, tol).value
-        z = abs(est.point - ref) / est.std_error if est.std_error > 0 else 0.0
+        ref = minima.emin(n, tol)
+        z = abs(est.point - ref.value) / est.std_error if est.std_error > 0 else 0.0
         check(f"sphere-vs-quadrature-n{n}", z <= 4.0,
-              f"mc={_fmt(est.point)} quad={_fmt(ref)} z={z:.3f}")
+              f"mc={_fmt(est.point)} quad={_fmt(ref.value)} z={z:.3f}", ref.converged)
 
     for f, child in zip(transfer.builtin_functions(), root.spawn(8)[3:]):
         rep = transfer.transfer_identity_check(f, 3, args.samples, child)

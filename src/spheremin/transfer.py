@@ -7,16 +7,23 @@ For f homogeneous of degree d,
 with iid coordinates X_i ~ Normal(0, 1/2).  Both sides are estimated by
 Monte Carlo: the right via Gaussian draws plus the exact gamma factor,
 the left directly via normalized Gaussian vectors (uniform on the
-sphere).  Estimates are bitwise-reproducible for a fixed seed; sampling
-is chunked so sample counts in the tens of millions stay in bounded
-memory.
+sphere).  Both routes share one sampling kernel, and estimates are
+bitwise-reproducible for a fixed seed.
+
+Chunks fix the summation order: the samples fall into chunks of
+_CHUNK_ELEMENTS coordinates, each chunk's f-values are added by one
+np.sum, and the chunk sums by math.fsum.  Blocks bound the memory: inside
+a chunk, rows are drawn in blocks of about _BLOCK_ELEMENTS coordinates
+into one reused buffer, so an estimate holds one block and one chunk's
+f-values whatever its sample count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Union
+from typing import Callable, List, Tuple, Union
 
 import numpy as np
 
@@ -26,12 +33,18 @@ from .special import gamma_ratio
 SeedLike = Union[int, np.random.SeedSequence]
 
 _CHUNK_ELEMENTS = 4_000_000  # floats per sampling chunk
+_BLOCK_ELEMENTS = 2**16  # floats per block of rows drawn at once
+_FOLD_BELOW = 8  # numpy adds a row of fewer coordinates in order
 
 
 @dataclass(frozen=True)
 class HomogeneousFunction:
     """A degree-tagged function of an n-vector; eval is vectorized over
-    the leading axes of an (..., n) array."""
+    the leading axes of an (..., n) array.
+
+    The Monte Carlo routes call eval on (rows, n) blocks of one reused
+    buffer and expect one value per row; eval must not keep a reference
+    to a block, whose contents the next draw overwrites."""
 
     name: str
     degree: int
@@ -56,20 +69,29 @@ class TransferReport:
     agree: bool
 
 
+def _reduce(op: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """op.reduce(a, axis=-1), bit for bit.  Short rows are folded column
+    by column, which is faster: min and max are exact, and numpy adds
+    fewer than _FOLD_BELOW terms in order."""
+    if 0 < a.shape[-1] < _FOLD_BELOW:
+        return functools.reduce(op, np.moveaxis(a, -1, 0))
+    return op.reduce(a, axis=-1)
+
+
 def _min_abs(x: np.ndarray) -> np.ndarray:
-    return np.min(np.abs(x), axis=-1)
+    return _reduce(np.minimum, np.abs(x))
 
 
 def _max_abs(x: np.ndarray) -> np.ndarray:
-    return np.max(np.abs(x), axis=-1)
+    return _reduce(np.maximum, np.abs(x))
 
 
 def _sum_abs(x: np.ndarray) -> np.ndarray:
-    return np.sum(np.abs(x), axis=-1)
+    return _reduce(np.add, np.abs(x))
 
 
 def _sum_squares(x: np.ndarray) -> np.ndarray:
-    return np.sum(x * x, axis=-1)
+    return _reduce(np.add, x * x)
 
 
 def _abs_first(x: np.ndarray) -> np.ndarray:
@@ -94,23 +116,44 @@ def builtin_function(name: str) -> HomogeneousFunction:
                    + ", ".join(f.name for f in builtin_functions()))
 
 
-def _chunks(samples: int, n: int):
-    rows = max(1, _CHUNK_ELEMENTS // n)
-    done = 0
-    while done < samples:
-        take = min(rows, samples - done)
-        yield take
-        done += take
-
-
-def _accumulate(draw_values, samples: int, n: int):
-    """Stream chunks of f-values; return (mean, std_error) with fixed
-    summation order for reproducibility."""
+def _sample_mean(
+    f: HomogeneousFunction, n: int, samples: int, seed: SeedLike, normalise: bool
+) -> Tuple[float, float]:
+    """Mean and standard error of f over `samples` rows of iid N(0, 1/2)
+    coordinates, or over iid N(0, 1) rows normalised onto S^(n-1)."""
+    _check_args(n, samples)
+    rng = np.random.default_rng(seed)
+    chunk_rows = max(1, _CHUNK_ELEMENTS // n)
+    block_rows = max(1, _BLOCK_ELEMENTS // n)
+    block = np.empty((min(block_rows, samples), n))
+    vals = np.empty(min(chunk_rows, samples))
+    root_half = math.sqrt(0.5)
     sums, sumsqs = [], []
-    for take in _chunks(samples, n):
-        vals = draw_values(take)
-        sums.append(float(np.sum(vals)))
-        sumsqs.append(float(np.sum(vals * vals)))
+    for first in range(0, samples, chunk_rows):
+        take = min(chunk_rows, samples - first)
+        for lo in range(0, take, block_rows):
+            hi = min(lo + block_rows, take)
+            x = block[:hi - lo]
+            rng.standard_normal(out=x)
+            if normalise:
+                norms = np.sqrt(_sum_squares(x))
+                while np.any(norms == 0.0):  # probability-zero guard
+                    bad = norms == 0.0
+                    x[bad] = rng.standard_normal((int(np.sum(bad)), n))
+                    norms = np.sqrt(_sum_squares(x))
+                x /= norms[:, None]
+            else:
+                x *= root_half
+            v = f.eval(x)
+            if np.shape(v) != (hi - lo,):
+                raise ValueError(
+                    f"function {f.name!r}: eval of a ({hi - lo}, {n}) block "
+                    f"returned shape {np.shape(v)}, expected one value per row")
+            vals[lo:hi] = v
+        chunk = vals[:take]
+        sums.append(float(np.sum(chunk)))
+        chunk *= chunk
+        sumsqs.append(float(np.sum(chunk)))
     total = math.fsum(sums)
     total_sq = math.fsum(sumsqs)
     mean = total / samples
@@ -123,14 +166,7 @@ def sphere_mean_from_gaussian(
 ) -> Estimate:
     """Estimate the spherical mean of f via Gaussian draws and the exact
     gamma-ratio transfer factor."""
-    _check_args(n, samples)
-    rng = np.random.default_rng(seed)
-    root_half = math.sqrt(0.5)
-
-    def draw(take: int) -> np.ndarray:
-        return f.eval(rng.standard_normal((take, n)) * root_half)
-
-    mean, se = _accumulate(draw, samples, n)
+    mean, se = _sample_mean(f, n, samples, seed, normalise=False)
     factor = gamma_ratio(n, f.degree)
     return Estimate(point=factor * mean, std_error=factor * se, samples=samples)
 
@@ -140,19 +176,7 @@ def sphere_mean_direct(
 ) -> Estimate:
     """Estimate the spherical mean of f by uniform sampling on S^(n-1)
     (normalized iid Gaussian vectors)."""
-    _check_args(n, samples)
-    rng = np.random.default_rng(seed)
-
-    def draw(take: int) -> np.ndarray:
-        x = rng.standard_normal((take, n))
-        norms = np.linalg.norm(x, axis=1)
-        while np.any(norms == 0.0):  # probability-zero guard
-            bad = norms == 0.0
-            x[bad] = rng.standard_normal((int(np.sum(bad)), n))
-            norms = np.linalg.norm(x, axis=1)
-        return f.eval(x / norms[:, None])
-
-    mean, se = _accumulate(draw, samples, n)
+    mean, se = _sample_mean(f, n, samples, seed, normalise=True)
     return Estimate(point=mean, std_error=se, samples=samples)
 
 

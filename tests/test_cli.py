@@ -14,6 +14,7 @@ from spheremin.cli import (
     EXIT_NONCONVERGENT,
     EXIT_OK,
     EXIT_PARSE_ERROR,
+    EXIT_VERIFY_FAILED,
     CliParseError,
     main,
     parse_distribution,
@@ -147,6 +148,14 @@ class TestExitCodes:
         assert len(out.strip().splitlines()) == 4
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("warning:")
+
+    def test_verify_fails_unconverged_quadrature(self, capsys):
+        # at tol 1e-18 several quadrature values are right but unconverged
+        code, out, _ = run(["verify", "--tol", "1e-18", "--samples", "2000"], capsys)
+        assert code == EXIT_VERIFY_FAILED
+        failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
+        assert failed and all(line.endswith(" converged=False") for line in failed)
+        assert out.splitlines()[-1].startswith("FAILED")
 
     def test_hypothesis_violated(self, capsys):
         code, _, err = run(

@@ -1,15 +1,19 @@
 """Sphere/Gaussian transfer: homogeneity of the built-ins, exactness of the
 degree-2 gamma identity, agreement of both Monte Carlo routes with
-closed-form oracles, and seed reproducibility."""
+closed-form oracles, seed reproducibility, and the sampling kernel's
+pinned bits, memory bound and checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from spheremin.minima import emin
 from spheremin.special import gamma_ratio
+from spheremin import transfer
 from spheremin.transfer import (
+    HomogeneousFunction,
     builtin_function,
     builtin_functions,
     sphere_mean_direct,
@@ -105,7 +109,6 @@ class TestReproducibility:
         assert c == d
 
     def test_linearity_in_f(self):
-        from spheremin.transfer import HomogeneousFunction
         f = builtin_function("min-abs")
         doubled = HomogeneousFunction("doubled", 1, lambda x: 2.0 * f.eval(x))
         a = sphere_mean_direct(f, 4, 20_000, 9)
@@ -145,3 +148,121 @@ def test_emin_agrees_with_direct_mc():
         est = sphere_mean_direct(f, n, SAMPLES, seed)
         ref = emin(n).value
         assert abs(est.point - ref) <= 4 * est.std_error
+
+
+ROUTES = {r.__name__: r for r in (sphere_mean_from_gaussian, sphere_mean_direct)}
+
+# Estimates recorded bit for bit before the sampling kernel was blocked:
+# min-abs at n=2 spans two chunks, sum-abs at n=1000 ends each chunk in a
+# partial block of 35 rows, and sum-squares at n=7 folds its columns.
+PINNED = [
+    ("min-abs", 2, 2_001_000, 2024, "sphere_mean_from_gaussian",
+     "0x1.7d9969c219f23p-2", "0x1.c2263a1933fcbp-13"),
+    ("min-abs", 2, 2_001_000, 2024, "sphere_mean_direct",
+     "0x1.7d954fbc2fa5dp-2", "0x1.320c92cda9840p-13"),
+    ("sum-abs", 1000, 4_100, 2025, "sphere_mean_from_gaussian",
+     "0x1.9416bdd74ac29p+4", "0x1.33db2371777b9p-7"),
+    ("sum-abs", 1000, 4_100, 2025, "sphere_mean_direct",
+     "0x1.93e05e21d811fp+4", "0x1.b2337ac0b7970p-9"),
+    ("sum-squares", 7, 5_000, 2026, "sphere_mean_from_gaussian",
+     "0x1.fea5a11d71942p-1", "0x1.e66204d601095p-8"),
+    ("sum-squares", 7, 5_000, 2026, "sphere_mean_direct",
+     "0x1.0000000000000p+0", "0x0.0p+0"),
+]
+
+
+@pytest.mark.parametrize("name, n, samples, seed, route, point, std_error", PINNED)
+def test_estimates_are_pinned(name, n, samples, seed, route, point, std_error):
+    est = ROUTES[route](builtin_function(name), n, samples, seed)
+    assert (est.point.hex(), est.std_error.hex(), est.samples) == (point, std_error, samples)
+
+
+REDUCTIONS = {
+    "min-abs": lambda x: np.minimum.reduce(np.abs(x), axis=-1),
+    "max-abs": lambda x: np.maximum.reduce(np.abs(x), axis=-1),
+    "sum-abs": lambda x: np.add.reduce(np.abs(x), axis=-1),
+    "sum-squares": lambda x: np.add.reduce(x * x, axis=-1),
+}
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("name", sorted(REDUCTIONS))
+def test_builtin_eval_matches_numpy_reduce(name, n):
+    # magnitudes spread over 16 decades make any change of summation order show
+    rng = np.random.default_rng(n)
+    f = builtin_function(name)
+    for shape in ((n,), (10_000, n), (3, 4, n)):
+        x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        assert _same_bits(f.eval(x), REDUCTIONS[name](x)), shape
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_norm_matches_linalg(n):
+    x = np.random.default_rng(n).standard_normal((10_000, n))
+    assert _same_bits(np.sqrt(transfer._sum_squares(x)), np.linalg.norm(x, axis=1))
+
+
+@pytest.mark.parametrize("route", ROUTES.values(), ids=ROUTES)
+@pytest.mark.parametrize("bad_eval", [
+    lambda x: 1.0,
+    lambda x: x,
+    lambda x: np.abs(x[:-1, 0]),
+], ids=["scalar", "block", "short"])
+def test_eval_must_return_one_value_per_row(route, bad_eval):
+    f = HomogeneousFunction("bad-shape", 1, bad_eval)
+    with pytest.raises(ValueError, match="bad-shape"):
+        route(f, 3, 100, 0)
+
+
+@pytest.mark.parametrize("route", ROUTES.values(), ids=ROUTES)
+@pytest.mark.parametrize("n", [2, 1000])
+def test_memory_is_bounded_by_blocks(route, n):
+    # 4M coordinates; one chunk's f-values take 16 MB at n=2
+    f = builtin_function("min-abs")
+    tracemalloc.start()
+    try:
+        route(f, n, 4_000_000 // n, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2**20
+
+
+class _ZeroFirstRow:
+    """A generator whose first block of draws starts with an all-zero row."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.zeroed = False
+        self.redraws = 0
+
+    def standard_normal(self, size=None, out=None):
+        if out is None:
+            self.redraws += 1
+            return self.rng.standard_normal(size)
+        self.rng.standard_normal(out=out)
+        if not self.zeroed:
+            out[0] = 0.0
+            self.zeroed = True
+        return out
+
+
+def test_zero_norm_row_is_redrawn(monkeypatch):
+    default_rng = np.random.default_rng
+    stubs = []
+
+    def stub(seed):
+        stubs.append(_ZeroFirstRow(default_rng(seed)))
+        return stubs[-1]
+
+    monkeypatch.setattr(transfer.np.random, "default_rng", stub)
+    est = sphere_mean_direct(builtin_function("min-abs"), 3, 1000, 0)
+    assert math.isfinite(est.point) and math.isfinite(est.std_error)
+    est = sphere_mean_direct(builtin_function("sum-squares"), 3, 1000, 0)
+    assert est.point == 1.0
+    assert all(s.zeroed and s.redraws == 1 for s in stubs)

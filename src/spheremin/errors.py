@@ -2,6 +2,8 @@
 integer arguments (the dimension or draw count n, the degree d, the
 sample count) that the public routines share."""
 
+import sys
+
 
 class SphereMinError(Exception):
     """Base class for all package-specific errors."""
@@ -31,6 +33,10 @@ class HypothesisViolatedError(SphereMinError, ValueError):
 
 
 def _check_int(name: str, value: int, least: int = 1) -> None:
-    """Raise ValueError unless ``value`` is an int (not a bool) >= ``least``."""
+    """Raise ValueError unless ``value`` is an int (not a bool) >= ``least``
+    that converts to a float, as every computation with it does."""
     if not isinstance(value, int) or isinstance(value, bool) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    if value > sys.float_info.max:
+        raise ValueError(f"{name} must be at most {sys.float_info.max:g}, "
+                         f"got an integer of {value.bit_length()} bits")

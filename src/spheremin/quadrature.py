@@ -1,25 +1,33 @@
 """Log-space evaluation of int_0^inf survival(y)^n dy.
 
 The integrand is only ever formed as exp(n * log_survival(y)), so large n
-never underflows prematurely.  For unbounded support the tail beyond the
-truncation point is bounded by summing dyadic blocks [b, 2b]: survival is
-monotone, so each block contributes at most b * survival(b)^n, and the
-observed block-to-block decay ratio bounds the remainder geometrically.
-Heavy tails whose blocks never decay (a divergent expectation) surface as
-NonConvergentError instead of a silently wrong number.
+never underflows prematurely.
 
-Up to the truncation point the integral is split into panels whose widths
-grow by a factor of 4 away from the origin, where the mass sits.  Each
-panel is integrated by QUADPACK's 10/21-point Gauss-Kronrod pair (qk21):
-21 evaluations give the K21 value and the error estimate |K21 - G10|.
-Panels that miss their share of the tolerance are bisected, within one
-budget of leaves per integral, so every call does bounded work; a result
-whose budget ran out reports converged=False.
+One geometric grid carries both the panels and the tail bound.  Its
+boundaries b_k = w0 * 4^k start from a first width w0 on the scale where
+the mass sits, 1/(n f(0)) when the density at 0 is positive.  Survival is
+monotone, so the block [b, 4b] contributes at most 3b * survival(b)^n.  The
+grid is walked once, up to the first boundary where this bound and the
+integrand underflow.  A walk that reaches the largest floats instead
+certifies the rest by its last block ratio, and a ratio that shows no
+decay (a divergent expectation) raises NonConvergentError.  The truncation
+point y* is the first boundary whose blocks beyond it fit half the
+tolerance, but not below 1 unless the integrand underflows there; a
+bounded support clips it.
+
+The panels between consecutive boundaries up to y* are integrated by
+QUADPACK's 10/21-point Gauss-Kronrod pair (qk21): 21 evaluations give the
+K21 value and the error estimate |K21 - G10|.  Panels that miss their
+share of the tolerance are bisected, within one budget of leaves per
+integral, so every call does bounded work; a result whose budget ran out
+reports converged=False.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 from .distributions import Distribution
@@ -64,12 +72,13 @@ _XK = _XK_HALF + tuple(-x for x in reversed(_XK_HALF[:-1]))
 _WK = _WK_HALF + tuple(reversed(_WK_HALF[:-1]))
 _WG = _WG_HALF + tuple(reversed(_WG_HALF))
 
-_MAX_TAIL_BLOCKS = 600
-_TAIL_RATIO_CAP = 0.95
+_TAIL_RATIO_CAP = 0.95  # per doubling; the grid's blocks span two doublings
 # leaves (accepted panels) per integral, which bounds the work of any call;
-# the integrals of the benchmark's dist-grid workload need at most 77
+# the integrals of the benchmark's dist-grid workload need at most about 80
 _MAX_LEAVES = 1000
 _EXP_UNDERFLOW = -745.0
+# the least first width: positive even when n * f(0) overflows
+_MIN_WIDTH = 2.0**-1022
 
 
 @dataclass(frozen=True)
@@ -121,83 +130,52 @@ def _integrate_mesh(g, bounds, loc_tol):
     return math.fsum(values), math.fsum(errors), len(values), short
 
 
-def _tail_blocks(log_survival, n, y0):
-    """Upper bounds b_k * survival(b_k)^n for dyadic blocks [b_k, 2 b_k],
-    ending with the first bound that underflows to 0."""
-    out = []
-    b = y0
-    for _ in range(_MAX_TAIL_BLOCKS):
-        arg = n * log_survival(b) + math.log(b)
-        if arg <= _EXP_UNDERFLOW:
-            out.append(0.0)
-            break
-        out.append(math.exp(arg))
-        b *= 2.0
-    return out
+def _grid(dist: Distribution, n: int, budget: float):
+    """Panel bounds 0, b_0, ..., y* on the boundaries b_k = w0 * 4^k, and a
+    certified bound on the integral beyond y*.
 
-
-def _truncation(dist: Distribution, n: int, tail_budget: float):
-    """Pick y* and a certified bound for the discarded tail.
-
-    Returns (y_star, tail_bound) or raises NonConvergentError when no
-    truncation point admits a bound below the budget.
-    """
-    log_s = dist.log_survival
-    # first point where the integrand itself has dropped below the budget,
-    # discounted by the 1/(1+y) factor that keeps the block sum honest
-    y0 = 1.0
-    target = math.log(tail_budget)
-    for _ in range(200):
-        if n * log_s(y0) <= target - math.log1p(y0):
-            break
-        y0 *= 2.0
-    blocks = _tail_blocks(log_s, n, y0)
-    # certify the remainder past the last block by the observed decay ratio
-    last = blocks[-1]
-    if last == 0.0:
-        remainder = 0.0
-    else:
-        prev = blocks[-2]  # no block underflowed, so all _MAX_TAIL_BLOCKS are here
-        ratio = last / prev if prev > 0.0 else 1.0
-        if ratio > _TAIL_RATIO_CAP:
-            raise NonConvergentError(
-                f"tail of survival^{n} for {dist.name} shows no decay; "
-                "the expected minimum is divergent or nearly so"
-            )
-        remainder = last * ratio / (1.0 - ratio)
-    # slide y* outward until the blocks kept beyond it fit the budget
-    suffix = remainder
-    cut = len(blocks)
-    for k in range(len(blocks) - 1, -1, -1):
-        if suffix + blocks[k] > tail_budget:
-            break
-        suffix += blocks[k]
-        cut = k
-    if cut == len(blocks):
-        raise NonConvergentError(
-            f"tail bound for {dist.name} with n={n} cannot be driven below "
-            f"{tail_budget:g}; the expected minimum may be infinite"
-        )
-    return y0 * 2.0**cut, suffix
-
-
-def _mesh(dist: Distribution, n: int, y_star: float):
-    """Panel boundaries from 0 to y*, each panel 4 times as wide as the one
-    before it.
-
-    The integrand's mass sits within O(1/n) of the origin when the density
-    there is positive, so the first panel width tracks that scale.
+    Raises NonConvergentError when the blocks do not decay, or when no
+    boundary leaves a tail within ``budget``.
     """
     f0 = dist.density_at_zero
     if f0 is not None and math.isfinite(f0) and f0 > 0.0:
         w0 = min(1.0, 4.0 / (n * f0 + 1.0))
     else:
         w0 = 1.0 / math.sqrt(n)
-    w0 = min(w0, y_star)
-    bounds = [0.0, w0]
-    while bounds[-1] < y_star:
-        bounds.append(min(bounds[-1] * 4.0, y_star))
-    return bounds
+    bounds = [0.0, max(w0, _MIN_WIDTH)]
+    blocks = []  # blocks[k] >= the integral over [bounds[k+1], 4 bounds[k+1]]
+    while True:
+        b = bounds[-1]
+        arg = n * dist.log_survival(b)
+        blocks.append(math.exp(arg + math.log(3.0 * b)))
+        if blocks[-1] == 0.0 and arg <= _EXP_UNDERFLOW:
+            remainder = 0.0  # the block bound and the integrand both underflow
+            break
+        if b > sys.float_info.max / 4.0:
+            # no underflow: the last ratio must show decay, and bounds the rest
+            ratio = blocks[-1] / blocks[-2] if blocks[-2] > 0.0 else 1.0
+            if ratio > _TAIL_RATIO_CAP**2:
+                raise NonConvergentError(
+                    f"tail of survival^{n} for {dist.name} shows no decay; "
+                    "the expected minimum is divergent or nearly so"
+                )
+            remainder = blocks[-1] * ratio / (1.0 - ratio)
+            break
+        bounds.append(4.0 * b)
+    # tails[k] >= the integral beyond bounds[k+1]; it falls as k grows
+    tails = list(itertools.accumulate(reversed(blocks), initial=remainder))[:0:-1]
+    last = len(tails) - 1
+    if tails[last] > budget:
+        raise NonConvergentError(
+            f"tail bound for {dist.name} with n={n} cannot be driven below "
+            f"{budget:g}; the expected minimum may be infinite"
+        )
+    # y* is not below 1 unless the integrand underflows there (the last boundary)
+    cut = next(k for k, t in enumerate(tails)
+               if t <= budget and (bounds[k + 1] >= 1.0 or k == last))
+    bounds = bounds[:cut + 2]
+    bounds[-1] = min(bounds[-1], dist.support_upper)
+    return bounds, tails[cut]
 
 
 def survival_power_integral(dist: Distribution, n: int, tol: float) -> QuadratureResult:
@@ -216,12 +194,7 @@ def survival_power_integral(dist: Distribution, n: int, tol: float) -> Quadratur
         arg = n * log_s(y)
         return math.exp(arg) if arg > _EXP_UNDERFLOW else 0.0
 
-    if math.isfinite(dist.support_upper):
-        y_star, tail_bound = dist.support_upper, 0.0
-    else:
-        y_star, tail_bound = _truncation(dist, n, 0.5 * tol)
-
-    bounds = _mesh(dist, n, y_star)
+    bounds, tail_bound = _grid(dist, n, 0.5 * tol)
     # equal per-panel budget: on a geometric mesh a width-proportional
     # split would starve the panels near 0 where the mass sits
     loc_tol = 0.5 * tol / (len(bounds) - 1)
@@ -231,7 +204,7 @@ def survival_power_integral(dist: Distribution, n: int, tol: float) -> Quadratur
     return QuadratureResult(
         value=value,
         abs_error_bound=abs_error_bound,
-        truncation_point=y_star,
+        truncation_point=bounds[-1],
         panels=panels,
         converged=abs_error_bound <= tol and not short,
     )

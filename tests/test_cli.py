@@ -174,6 +174,7 @@ class TestExitCodes:
         ["emin", "--n", "1", "--output", "."],
         ["verify", "--seed", "-1"],
         ["sphere-mean", "--n", "3", "--seed", "-1"],
+        ["emin", "--n", "1" + "0" * 400],  # n beyond the largest float
     ])
     def test_bad_value_is_a_parse_error(self, argv, capsys):
         code, out, err = run(argv, capsys)

@@ -2,9 +2,16 @@
 exact gamma-ratio relation between the Gaussian and sphere quantities."""
 
 import math
+import os
+import resource
+import subprocess
+import sys
+from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
+import spheremin
 from spheremin.distributions import exponential, half_normal, heavy_tail, power_law, uniform01
 from spheremin.errors import HypothesisViolatedError, NonConvergentError
 from spheremin.minima import asymptotic_min, emin, emin_asymptotic, expected_min, nmin
@@ -13,6 +20,7 @@ INV_SQRT_PI = 0.5641895835477563
 NMIN_2 = 0.3304946062926472          # mpmath: integral of erfc^2
 EMIN_2 = 0.3729232285780566          # (4 - 2 sqrt 2)/pi, circle-integral oracle
 SQRT_PI_HALF = 0.8862269254527580
+EPS = 2.0**-52
 
 
 class TestNmin:
@@ -31,6 +39,15 @@ class TestNmin:
         n = 10**4
         assert (n + 1) * nmin(n, 1e-13).value == pytest.approx(SQRT_PI_HALF, abs=1e-3)
 
+    @pytest.mark.parametrize("k", range(3, 16))
+    def test_theorem2_residual_bound(self, k):
+        # (n+1) nmin(n) -> sqrt(pi)/2 with a residual below 1.5/n^2; cutting
+        # the tail below y = 1 where the integrand is still positive costs
+        # 1.1e-7 of the value at n = 10^5
+        n = 10**k
+        residual = abs((n + 1) * nmin(n).value - SQRT_PI_HALF)
+        assert residual <= 1.5 / n**2 + 4 * math.ulp(SQRT_PI_HALF)
+
 
 class TestEmin:
     def test_n1_exact(self):
@@ -43,6 +60,17 @@ class TestEmin:
     def test_strictly_decreasing(self):
         vals = [emin(n, 1e-12).value for n in range(1, 101)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("k", range(7, 16))
+    def test_large_n_against_mpmath(self, k):
+        # emin(n) (n+1) / [Gamma(n/2)/Gamma((n+1)/2)] = (n+1) nmin(n), which is
+        # sqrt(pi)/2 within 1.5/n^2; a gamma factor taken from exp(lgamma -
+        # lgamma) is 2.5 times too large at n = 10^15
+        n = 10**k
+        with mp.workdps(40):
+            factor = mp.exp(mp.loggamma(mp.mpf(n) / 2) - mp.loggamma(mp.mpf(n + 1) / 2))
+            scaled = float((n + 1) * mp.mpf(emin(n).value) / factor)
+        assert abs(scaled - SQRT_PI_HALF) <= 1.5 / n**2 + 8 * EPS
 
     def test_gamma_relation(self):
         # Gamma((n+1)/2) * emin(n) = Gamma(n/2) * nmin(n), via lgamma
@@ -58,6 +86,37 @@ class TestExpectedMin:
 
     def test_uniform(self):
         assert expected_min(uniform01(), 3).value == pytest.approx(0.25, abs=1e-10)
+
+    @pytest.mark.parametrize("k", range(16))
+    def test_exponential_large_n(self, k):
+        # the truncation point stays where the integrand has underflowed or
+        # at y >= 1, never at a boundary where the tail still fits the budget
+        # but carries 1.8% of the value (n = 10^10)
+        n = 10**k
+        assert abs(n * expected_min(exponential(1.0), n).value - 1.0) <= 4 * math.ulp(1.0)
+
+    @pytest.mark.parametrize("dist,n,alpha", [
+        ("exponential(1e300)", 10**9, 1e300),
+        ("heavy_tail(2.0)", 10**308, None),
+    ], ids=["exponential", "heavy_tail"])
+    def test_overflowing_first_width_returns(self, dist, n, alpha):
+        # n f(0) overflows, so the first panel width 4/(n f(0) + 1) is 0 unless
+        # floored; run apart, with a time limit and an address-space cap, so
+        # that a grid that never grows fails instead of filling the memory
+        code = ("import time; from spheremin import distributions as d, minima; "
+                f"t = time.perf_counter(); r = minima.expected_min(d.{dist}, {n}); "
+                "print(time.perf_counter() - t, r.value.hex(), r.error_bound.hex(), r.converged)")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spheremin.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+        )
+        assert out.returncode == 0, out.stderr
+        seconds, value, bound, converged = out.stdout.split()
+        # exponential(rate) has mean 1/(n rate); heavy_tail(2) has 1/(2n - 1)
+        exact = Fraction(1, n) / Fraction(alpha) if alpha else Fraction(1, 2 * n - 1)
+        assert float(seconds) < 5.0 and converged == "True"
+        assert abs(Fraction(float.fromhex(value)) - exact) <= Fraction(float.fromhex(bound))
 
     def test_divergent(self):
         with pytest.raises(NonConvergentError):

@@ -3,6 +3,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +18,7 @@ LOG_ERFC_26 = -679.8311997631942
 LOG_ERFC_100 = -10005.177585122664
 LOG_ERFC_1E4 = -100000009.78270532
 SQRT_PI = 1.7724538509055159
+EPS = 2.0**-52
 
 
 class TestErfc:
@@ -124,3 +126,15 @@ class TestGammaRatio:
     def test_rejects_bad_args(self, n, d):
         with pytest.raises(ValueError):
             gamma_ratio(n, d)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_large_n_against_mpmath(self, d):
+        # above n = 1000 the ratio comes from the large-x series; the
+        # difference of two lgamma values loses 3.5% at n = 10^13
+        ns = list(range(1001, 1041)) + [10**k + j for k in range(4, 301, 4) for j in (0, 1)]
+        for n in ns:
+            with mp.workdps(40 + len(str(n))):
+                exact = mp.exp(mp.loggamma(mp.mpf(n) / 2) - mp.loggamma(mp.mpf(n + d) / 2))
+            if exact < 2.3e-308:  # beyond the normal floats (d = 3 at n > 1e205)
+                continue
+            assert abs(gamma_ratio(n, d) - exact) <= 3 * EPS * exact, n

@@ -11,6 +11,13 @@ and one-sided numerical differentiation at a support boundary is
 ill-conditioned.  ``None`` marks "undefined"; ``math.inf`` is allowed.
 
 Support is always [0, inf) or a bounded [0, support_upper].
+
+The quadrature's tail bound assumes that survival is log-concave (a
+non-decreasing hazard rate) or decays like a power law (1+y)^-alpha; all
+five factories below qualify.  A Distribution built by hand must too: the
+tail beyond the truncation point is bounded by a geometric series in the
+last ratio of 3b * survival(b)^n to its value at b/4, which is a bound
+only if that ratio does not rise with b.
 """
 
 from __future__ import annotations

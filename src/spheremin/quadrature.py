@@ -6,14 +6,20 @@ never underflows prematurely.
 One geometric grid carries both the panels and the tail bound.  Its
 boundaries b_k = w0 * 4^k start from a first width w0 on the scale where
 the mass sits, 1/(n f(0)) when the density at 0 is positive.  Survival is
-monotone, so the block [b, 4b] contributes at most 3b * survival(b)^n.  The
-grid is walked once, up to the first boundary where this bound and the
-integrand underflow.  A walk that reaches the largest floats instead
-certifies the rest by its last block ratio, and a ratio that shows no
-decay (a divergent expectation) raises NonConvergentError.  The truncation
-point y* is the first boundary whose blocks beyond it fit half the
-tolerance, but not below 1 unless the integrand underflows there; a
-bounded support clips it.
+monotone, so the block [b, 4b] contributes at most 3b * survival(b)^n.
+The tail bound rests on one premise: the ratio r of a block to the one
+before it does not rise with b.  It holds for every log-concave survival,
+since d/db log(S(4b)/S(b)) = h(b) - 4h(4b) <= 0 for a non-decreasing
+hazard h, and for the power law (1+y)^-alpha.  So once r is at most
+_TAIL_RATIO_CAP**2, the integral beyond b is at most block / (1 - r).
+
+The grid is walked once.  The walk stops at the first boundary whose tail
+fits half the tolerance, but not below 1 unless the block and the
+integrand both underflow there; that boundary is the truncation point y*,
+which a bounded support clips.  A walk that reaches the largest floats
+raises NonConvergentError: its blocks show too little decay (for the heavy
+tail, exactly when n * alpha <= 1.074), so the expected minimum is
+divergent or nearly so.
 
 The panels between consecutive boundaries up to y* are integrated by
 QUADPACK's 10/21-point Gauss-Kronrod pair (qk21): 21 evaluations give the
@@ -25,7 +31,6 @@ reports converged=False.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -134,8 +139,9 @@ def _grid(dist: Distribution, n: int, budget: float):
     """Panel bounds 0, b_0, ..., y* on the boundaries b_k = w0 * 4^k, and a
     certified bound on the integral beyond y*.
 
-    Raises NonConvergentError when the blocks do not decay, or when no
-    boundary leaves a tail within ``budget``.
+    At each boundary b the walk checks the tail rule of the module
+    docstring, and stops at y*.  Raises NonConvergentError when it reaches
+    the largest floats first.
     """
     f0 = dist.density_at_zero
     if f0 is not None and math.isfinite(f0) and f0 > 0.0:
@@ -143,39 +149,27 @@ def _grid(dist: Distribution, n: int, budget: float):
     else:
         w0 = 1.0 / math.sqrt(n)
     bounds = [0.0, max(w0, _MIN_WIDTH)]
-    blocks = []  # blocks[k] >= the integral over [bounds[k+1], 4 bounds[k+1]]
+    prev = 0.0  # the block at the boundary before b
     while True:
         b = bounds[-1]
         arg = n * dist.log_survival(b)
-        blocks.append(math.exp(arg + math.log(3.0 * b)))
-        if blocks[-1] == 0.0 and arg <= _EXP_UNDERFLOW:
-            remainder = 0.0  # the block bound and the integrand both underflow
+        block = math.exp(arg + math.log(3.0 * b))  # >= the integral over [b, 4b]
+        if block == 0.0 and arg <= _EXP_UNDERFLOW:
+            tail = 0.0  # the block bound and the integrand both underflow
+            break
+        r = block / prev if prev > 0.0 else 1.0  # no ratio at the first boundary
+        tail = block / (1.0 - r) if r <= _TAIL_RATIO_CAP**2 else math.inf
+        if tail <= budget and b >= 1.0:
             break
         if b > sys.float_info.max / 4.0:
-            # no underflow: the last ratio must show decay, and bounds the rest
-            ratio = blocks[-1] / blocks[-2] if blocks[-2] > 0.0 else 1.0
-            if ratio > _TAIL_RATIO_CAP**2:
-                raise NonConvergentError(
-                    f"tail of survival^{n} for {dist.name} shows no decay; "
-                    "the expected minimum is divergent or nearly so"
-                )
-            remainder = blocks[-1] * ratio / (1.0 - ratio)
-            break
+            raise NonConvergentError(
+                f"tail of survival^{n} for {dist.name} cannot be bounded below "
+                f"{budget:g}; the expected minimum is divergent or nearly so"
+            )
+        prev = block
         bounds.append(4.0 * b)
-    # tails[k] >= the integral beyond bounds[k+1]; it falls as k grows
-    tails = list(itertools.accumulate(reversed(blocks), initial=remainder))[:0:-1]
-    last = len(tails) - 1
-    if tails[last] > budget:
-        raise NonConvergentError(
-            f"tail bound for {dist.name} with n={n} cannot be driven below "
-            f"{budget:g}; the expected minimum may be infinite"
-        )
-    # y* is not below 1 unless the integrand underflows there (the last boundary)
-    cut = next(k for k, t in enumerate(tails)
-               if t <= budget and (bounds[k + 1] >= 1.0 or k == last))
-    bounds = bounds[:cut + 2]
-    bounds[-1] = min(bounds[-1], dist.support_upper)
-    return bounds, tails[cut]
+    bounds[-1] = min(b, dist.support_upper)
+    return bounds, tail
 
 
 def survival_power_integral(dist: Distribution, n: int, tol: float) -> QuadratureResult:
@@ -199,7 +193,6 @@ def survival_power_integral(dist: Distribution, n: int, tol: float) -> Quadratur
     # split would starve the panels near 0 where the mass sits
     loc_tol = 0.5 * tol / (len(bounds) - 1)
     value, panel_error, panels, short = _integrate_mesh(integrand, bounds, loc_tol)
-    value = max(value, 0.0)
     abs_error_bound = tail_bound + panel_error
     return QuadratureResult(
         value=value,

@@ -121,7 +121,8 @@ def _sample_mean(
 ) -> Tuple[float, float]:
     """Mean and standard error of f over `samples` rows of iid N(0, 1/2)
     coordinates, or over iid N(0, 1) rows normalised onto S^(n-1)."""
-    _check_args(n, samples)
+    _check_int("n", n)
+    _check_int("samples", samples, 2)
     rng = np.random.default_rng(seed)
     chunk_rows = max(1, _CHUNK_ELEMENTS // n)
     block_rows = max(1, _BLOCK_ELEMENTS // n)
@@ -203,8 +204,3 @@ def transfer_identity_check(
         z_score=z,
         agree=z <= 4.0,
     )
-
-
-def _check_args(n: int, samples: int) -> None:
-    _check_int("n", n)
-    _check_int("samples", samples, 2)

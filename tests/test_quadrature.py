@@ -8,6 +8,7 @@ Half-normal n=2 is the mpmath oracle for the integral of erfc^2.
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import replace
 
@@ -126,12 +127,72 @@ def _counting(dist, limit=10**6):
 
 
 def test_tail_scan_stops_once_blocks_underflow():
-    # the dyadic tail scan ends at the first block whose bound is 0, not
-    # after a fixed 600 blocks
+    # the walk over the grid's boundaries ends at y*, no later than the
+    # first boundary where the block bound and the integrand underflow
     counted, calls = _counting(half_normal())
     res = survival_power_integral(counted, 10, 1e-10)
     assert res.value == survival_power_integral(half_normal(), 10, 1e-10).value
     assert len(calls) <= 300
+
+
+@pytest.mark.parametrize("dist,n", [(half_normal(), 10), (exponential(1.0), 1),
+                                    (heavy_tail(2.0), 10), (heavy_tail(1.5), 1)],
+                         ids=["half-normal", "exponential", "heavy-tail-2", "heavy-tail-1.5"])
+def test_walk_stops_at_truncation_point(dist, n):
+    # the tail is bounded where the walk stands, so it evaluates no
+    # boundary past y*
+    counted, calls = _counting(dist)
+    res = survival_power_integral(counted, n, 1e-10)
+    assert res.converged
+    assert max(calls) <= res.truncation_point
+    if dist.name == "heavy-tail:1.5":
+        assert len(calls) <= 1300
+
+
+@pytest.mark.parametrize("n", [1, 3, 50])
+@pytest.mark.parametrize("n_alpha", [1.05, 1.07, 1.08, 1.2])
+def test_divergence_classification(n, n_alpha):
+    # the heavy tail's blocks decay by 4^(1 - n alpha) per boundary, and the
+    # walk bounds the tail only once that is <= _TAIL_RATIO_CAP**2, that is
+    # when n alpha > 1.074, whatever n and tol
+    dist, exact = _exact("heavy_tail", n_alpha / n, n)
+    if n_alpha < 1.074:
+        with pytest.raises(NonConvergentError):
+            survival_power_integral(dist, n, 1e-10)
+    else:
+        res = survival_power_integral(dist, n, 1e-10)
+        assert res.converged
+        assert abs(res.value - exact) <= res.abs_error_bound + 8 * EPS * exact
+
+
+def _log_block_ratios(dist, n, w0):
+    """log(block(4b) / block(b)) = log 4 + n (log S(4b) - log S(b)) on the
+    grid b = w0 * 4^k, while it is finite, with a bound on its rounding."""
+    b = w0
+    while b <= sys.float_info.max / 16.0:
+        lo, hi = dist.log_survival(b), dist.log_survival(4.0 * b)
+        value = math.log(4.0) + n * (hi - lo)
+        if not math.isfinite(value):
+            return
+        yield value, 8 * EPS * (n * (abs(lo) + abs(hi)) + abs(value))
+        b *= 4.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(family=st.sampled_from(["exponential", "uniform01", "power_law", "heavy_tail", "half_normal"]),
+       param=st.floats(min_value=0.0, max_value=1.0),
+       n=st.integers(min_value=1, max_value=10**6),
+       w0=st.floats(min_value=-12.0, max_value=0.0))
+def test_block_ratios_do_not_rise(family, param, n, w0):
+    # the premise of the grid's tail bound block / (1 - r): the ratio r of
+    # successive blocks 3b S(b)^n does not rise with b
+    param = {"exponential": 1e-3 * 1e6**param, "power_law": 1.01 * (20 / 1.01)**param,
+             "heavy_tail": 0.05 * 200.0**param}.get(family, param)
+    dist = {"exponential": exponential, "power_law": power_law, "heavy_tail": heavy_tail,
+            "uniform01": lambda _: uniform01(), "half_normal": lambda _: half_normal()}[family](param)
+    ratios = list(_log_block_ratios(dist, n, 10.0**w0))
+    for (a, ea), (b, eb) in zip(ratios, ratios[1:]):
+        assert b <= a + ea + eb
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-5, 0.5, 1.0])
@@ -163,6 +224,7 @@ def test_uniform_property(n):
 
 def test_kronrod_table_is_exact():
     # K21 integrates polynomials of degree <= 31 exactly, G10 those of degree <= 19
+    assert all(w > 0 for w in _WK)  # so a nonnegative integrand gives a nonnegative value
     for k in range(32):
         exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
         kronrod = math.fsum(w * x**k for w, x in zip(_WK, _XK))

@@ -90,7 +90,9 @@ def heavy_tail(alpha: float) -> Distribution:
 
     survival^n is integrable exactly when n*alpha > 1.  For n*alpha <= 1
     the expected minimum of n draws is infinite and the quadrature
-    reports nonconvergence.
+    reports nonconvergence.  It also does so, wrongly, for
+    1 < n*alpha <= 1.074, where the blocks of its grid decay too slowly
+    for its tail rule.
     """
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"heavy_tail requires alpha > 0, got {alpha!r}")

@@ -14,9 +14,9 @@ class InvalidToleranceError(SphereMinError, ValueError):
 
 
 class NonConvergentError(SphereMinError, ArithmeticError):
-    """The survival-power integral has a tail that cannot be bounded below
-    the requested tolerance; the underlying expectation is divergent or
-    numerically indistinguishable from divergent."""
+    """The survival-power integral has a tail that cannot be bounded: its
+    blocks decay too slowly up to the largest floats, so the underlying
+    expectation is divergent or numerically indistinguishable from it."""
 
 
 class HypothesisViolatedError(SphereMinError, ValueError):

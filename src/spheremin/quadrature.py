@@ -1,32 +1,37 @@
 """Log-space evaluation of int_0^inf survival(y)^n dy.
 
 The integrand is only ever formed as exp(n * log_survival(y)), so large n
-never underflows prematurely.
+never underflows prematurely; where it does, math.exp returns 0.0, and
+that is the one test of underflow.
 
 One geometric grid carries both the panels and the tail bound.  Its
 boundaries b_k = w0 * 4^k start from a first width w0 on the scale where
-the mass sits, 1/(n f(0)) when the density at 0 is positive.  Survival is
-monotone, so the block [b, 4b] contributes at most 3b * survival(b)^n.
-The tail bound rests on one premise: the ratio r of a block to the one
-before it does not rise with b.  It holds for every log-concave survival,
-since d/db log(S(4b)/S(b)) = h(b) - 4h(4b) <= 0 for a non-decreasing
-hazard h, and for the power law (1+y)^-alpha.  So once r is at most
-_TAIL_RATIO_CAP**2, the integral beyond b is at most block / (1 - r).
+the mass sits: 1/(n f(0)) when the density at 0 is positive, else
+1/sqrt(n), moved down by 4 while the integrand has underflowed there.
+Survival is monotone, so the block [b, 4b] contributes at most
+3b * survival(b)^n.  The tail bound rests on one premise: the ratio r of a
+block to the one before it does not rise with b.  It holds for every
+log-concave survival, since d/db log(S(4b)/S(b)) = h(b) - 4h(4b) <= 0 for
+a non-decreasing hazard h, and for the power law (1+y)^-alpha.  So once r
+is at most _TAIL_RATIO_CAP**2, the integral beyond b is at most
+block / (1 - r).
 
 The grid is walked once.  The walk stops at the first boundary whose tail
 fits half the tolerance, but not below 1 unless the block and the
 integrand both underflow there; that boundary is the truncation point y*,
 which a bounded support clips.  A walk that reaches the largest floats
-raises NonConvergentError: its blocks show too little decay (for the heavy
-tail, exactly when n * alpha <= 1.074), so the expected minimum is
-divergent or nearly so.
+stops there if it has a tail bound, which then misses the tolerance, and
+otherwise raises NonConvergentError: its blocks show too little decay (for
+the heavy tail, exactly when n * alpha <= 1.074), so the expected minimum
+is divergent or nearly so.
 
 The panels between consecutive boundaries up to y* are integrated by
 QUADPACK's 10/21-point Gauss-Kronrod pair (qk21): 21 evaluations give the
 K21 value and the error estimate |K21 - G10|.  Panels that miss their
 share of the tolerance are bisected, within one budget of leaves per
-integral, so every call does bounded work; a result whose budget ran out
-reports converged=False.
+integral, so every call does bounded work.  A result has converged
+exactly when its error bound, the tail bound plus the panel errors, is
+within the tolerance.
 """
 
 from __future__ import annotations
@@ -81,7 +86,6 @@ _TAIL_RATIO_CAP = 0.95  # per doubling; the grid's blocks span two doublings
 # leaves (accepted panels) per integral, which bounds the work of any call;
 # the integrals of the benchmark's dist-grid workload need at most about 80
 _MAX_LEAVES = 1000
-_EXP_UNDERFLOW = -745.0
 # the least first width: positive even when n * f(0) overflows
 _MIN_WIDTH = 2.0**-1022
 
@@ -111,63 +115,64 @@ def _integrate_mesh(g, bounds, loc_tol):
     """Adaptive bisection of the panels between consecutive bounds.
 
     A panel is accepted when its error is within ``loc_tol`` (halved at
-    each bisection) or at the level of rounding; otherwise it is bisected
-    while the integral has fewer than _MAX_LEAVES leaves.  Returns (value,
-    error, leaves, whether a panel was kept unsplit for want of budget).
+    each bisection) or at the level of rounding, or when splitting it
+    would take the accepted and pending panels past _MAX_LEAVES; otherwise
+    it is bisected.  Returns (value, error, leaves).
     """
     values, errors = [], []
-    short = False
-    leaves = len(bounds) - 1
-    # a stack, so that the panels come off it from left to right
-    stack = [(a, b, loc_tol) for a, b in reversed(list(zip(bounds[:-1], bounds[1:])))]
+    stack = [(a, b, loc_tol) for a, b in zip(bounds, bounds[1:])]
     while stack:
         a, b, tol = stack.pop()
         value, err = _integrate_panel(g, a, b)
-        done = err <= tol or err <= 4e-16 * abs(value) or (b - a) <= 1e-300
-        if done or leaves >= _MAX_LEAVES:
+        if (err <= tol or err <= 4e-16 * abs(value) or (b - a) <= 1e-300
+                or len(values) + len(stack) + 2 > _MAX_LEAVES):
             values.append(value)
             errors.append(err)
-            short = short or not done
         else:
-            leaves += 1
             m = 0.5 * (a + b)
             stack += [(m, b, 0.5 * tol), (a, m, 0.5 * tol)]
-    return math.fsum(values), math.fsum(errors), len(values), short
+    return math.fsum(values), math.fsum(errors), len(values)
 
 
 def _grid(dist: Distribution, n: int, budget: float):
     """Panel bounds 0, b_0, ..., y* on the boundaries b_k = w0 * 4^k, and a
     certified bound on the integral beyond y*.
 
-    At each boundary b the walk checks the tail rule of the module
-    docstring, and stops at y*.  Raises NonConvergentError when it reaches
-    the largest floats first.
+    The first boundary moves down by 4 while the integrand has underflowed
+    there, so that the first panel cannot miss the mass.  The walk checks
+    the tail rule of the module docstring at each boundary and stops at y*;
+    it raises NonConvergentError at the largest floats without a tail bound.
     """
     f0 = dist.density_at_zero
     if f0 is not None and math.isfinite(f0) and f0 > 0.0:
         w0 = min(1.0, 4.0 / (n * f0 + 1.0))
     else:
         w0 = 1.0 / math.sqrt(n)
-    bounds = [0.0, max(w0, _MIN_WIDTH)]
+    b = max(w0, _MIN_WIDTH)
+    arg = n * dist.log_survival(b)
+    while math.exp(arg) == 0.0 and b > _MIN_WIDTH:
+        b = max(0.25 * b, _MIN_WIDTH)
+        arg = n * dist.log_survival(b)
+    bounds = [0.0, b]
     prev = 0.0  # the block at the boundary before b
     while True:
-        b = bounds[-1]
-        arg = n * dist.log_survival(b)
         block = math.exp(arg + math.log(3.0 * b))  # >= the integral over [b, 4b]
-        if block == 0.0 and arg <= _EXP_UNDERFLOW:
+        if block == 0.0 and math.exp(arg) == 0.0:
             tail = 0.0  # the block bound and the integrand both underflow
             break
         r = block / prev if prev > 0.0 else 1.0  # no ratio at the first boundary
         tail = block / (1.0 - r) if r <= _TAIL_RATIO_CAP**2 else math.inf
-        if tail <= budget and b >= 1.0:
+        last = b > sys.float_info.max / 4.0
+        if (tail <= budget and b >= 1.0) or (last and tail < math.inf):
             break
-        if b > sys.float_info.max / 4.0:
+        if last:
             raise NonConvergentError(
-                f"tail of survival^{n} for {dist.name} cannot be bounded below "
-                f"{budget:g}; the expected minimum is divergent or nearly so"
+                f"tail of survival^{n} for {dist.name} cannot be bounded; "
+                "the expected minimum is divergent or nearly so"
             )
-        prev = block
-        bounds.append(4.0 * b)
+        prev, b = block, 4.0 * b
+        bounds.append(b)
+        arg = n * dist.log_survival(b)
     bounds[-1] = min(b, dist.support_upper)
     return bounds, tail
 
@@ -183,21 +188,16 @@ def survival_power_integral(dist: Distribution, n: int, tol: float) -> Quadratur
         raise InvalidToleranceError(f"tol must be in (0, 1e-2], got {tol!r}")
 
     log_s = dist.log_survival
-
-    def integrand(y: float) -> float:
-        arg = n * log_s(y)
-        return math.exp(arg) if arg > _EXP_UNDERFLOW else 0.0
-
     bounds, tail_bound = _grid(dist, n, 0.5 * tol)
     # equal per-panel budget: on a geometric mesh a width-proportional
     # split would starve the panels near 0 where the mass sits
     loc_tol = 0.5 * tol / (len(bounds) - 1)
-    value, panel_error, panels, short = _integrate_mesh(integrand, bounds, loc_tol)
+    value, panel_error, panels = _integrate_mesh(lambda y: math.exp(n * log_s(y)), bounds, loc_tol)
     abs_error_bound = tail_bound + panel_error
     return QuadratureResult(
         value=value,
         abs_error_bound=abs_error_bound,
         truncation_point=bounds[-1],
         panels=panels,
-        converged=abs_error_bound <= tol and not short,
+        converged=abs_error_bound <= tol,
     )

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import mpmath as mp
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from spheremin.distributions import exponential, half_normal, heavy_tail, power_law, uniform01
 from spheremin.errors import InvalidToleranceError, NonConvergentError
@@ -252,7 +252,7 @@ def _exact(family, param, n):
 @settings(max_examples=200, deadline=None)
 @given(family=st.sampled_from(["exponential", "uniform01", "power_law", "heavy_tail", "half_normal"]),
        param=st.floats(min_value=0.0, max_value=1.0),
-       n=st.integers(min_value=1, max_value=10**6),
+       n=st.integers(min_value=1, max_value=10**15),
        hn=st.sampled_from(sorted(ERFC_POWER_INTEGRAL)),
        tol=st.sampled_from([1e-4, 1e-10, 1e-13]))
 def test_error_bound_is_honest(family, param, n, hn, tol):
@@ -280,12 +280,41 @@ def test_nmin_evaluation_count(n, limit):
     assert len(calls) <= limit
 
 
-def test_unreachable_tolerance_ends_unconverged():
+@pytest.mark.parametrize("k,n,tol", [(1.25, 10**12, 1e-10), (1.05, 10**15, 1e-10), (1.01, 10**7, 1e-4)])
+def test_first_panel_finds_mass_below_first_guess(k, n, tol):
+    # power_law(k < 2) has its mass near n^(-1/k), far below the first
+    # guess 1/sqrt(n), where the integrand has underflowed at every node
+    dist, exact = _exact("power_law", k, n)
+    res = survival_power_integral(dist, n, tol)
+    assert res.converged
+    assert abs(res.value - exact) <= res.abs_error_bound + 8 * EPS * exact
+
+
+@settings(max_examples=200, deadline=None)
+@given(family=st.sampled_from(["exponential", "uniform01", "power_law", "heavy_tail", "half_normal"]),
+       param=st.floats(min_value=0.0, max_value=1.0),
+       n=st.integers(min_value=1, max_value=10**15),
+       hn=st.sampled_from(sorted(ERFC_POWER_INTEGRAL)),
+       tol=st.sampled_from([1e-300, 1e-30, 1e-18]))
+@example(family="half_normal", param=0.0, n=10, hn=10, tol=1e-300)
+# n alpha = 1.41: no boundary below 1e308 bounds the tail by 1e-300
+@example(family="heavy_tail", param=0.5, n=2, hn=1, tol=1e-300)
+def test_unreachable_tolerance_ends_in_bounded_work(family, param, n, hn, tol):
     # the rounding noise of the panel estimate lies above 4e-16 of the value,
-    # so every panel wants splitting: the leaf budget must end the call
-    counted, _ = _counting(half_normal())
+    # so most panels want splitting: the leaf budget must end the call, and
+    # the result says whether its bound met tol
+    param = {"exponential": 1e-3 * 1e6**param, "power_law": 1.01 * (20 / 1.01)**param,
+             "heavy_tail": 0.05 * 200.0**param}.get(family, param)
+    if family == "half_normal":
+        n = hn
+    assume(family != "heavy_tail" or n * param >= 1.2)
+    dist, exact = _exact(family, param, n)
+    counted, _ = _counting(dist, limit=50_000)
     t0 = time.perf_counter()
-    res = survival_power_integral(counted, 10, 1e-300)
+    res = survival_power_integral(counted, n, tol)
     assert time.perf_counter() - t0 < 5.0
-    assert res.converged is False
-    assert abs(res.value - ERFC_POWER_INTEGRAL[10]) <= 1e-15
+    assert abs(res.value - exact) <= res.abs_error_bound + 8 * EPS * exact
+    assert res.converged == (res.abs_error_bound <= tol)
+    if (family, n, tol) == ("half_normal", 10, 1e-300):
+        assert res.converged is False
+        assert abs(res.value - ERFC_POWER_INTEGRAL[10]) <= 1e-15

@@ -78,9 +78,9 @@ _WG_HALF = (
     0.269266719309996355091226921569469,
     0.295524224714752870173892994651338,
 )
-_XK = _XK_HALF + tuple(-x for x in reversed(_XK_HALF[:-1]))
-_WK = _WK_HALF + tuple(reversed(_WK_HALF[:-1]))
-_WG = _WG_HALF + tuple(reversed(_WG_HALF))
+_XK = _XK_HALF + tuple(-x for x in _XK_HALF[-2::-1])
+_WK = _WK_HALF + _WK_HALF[-2::-1]
+_WG = _WG_HALF + _WG_HALF[::-1]
 
 _TAIL_RATIO_CAP = 0.95  # per doubling; the grid's blocks span two doublings
 # leaves (accepted panels) per integral, which bounds the work of any call;

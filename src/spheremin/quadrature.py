@@ -6,15 +6,16 @@ that is the one test of underflow.
 
 One geometric grid carries both the panels and the tail bound.  Its
 boundaries b_k = w0 * 4^k start from a first width w0 on the scale where
-the mass sits: 1/(n f(0)) when the density at 0 is positive, else
-1/sqrt(n), moved down by 4 while the integrand has underflowed there.
-Survival is monotone, so the block [b, 4b] contributes at most
-3b * survival(b)^n.  The tail bound rests on one premise: the ratio r of a
-block to the one before it does not rise with b.  It holds for every
-log-concave survival, since d/db log(S(4b)/S(b)) = h(b) - 4h(4b) <= 0 for
-a non-decreasing hazard h, and for the power law (1+y)^-alpha.  So once r
-is at most _TAIL_RATIO_CAP**2, the integral beyond b is at most
-block / (1 - r).
+the mass sits: 1/(n f(0)) when the density at 0 is positive, which leaves
+the integrand near e^-4 there, else 1/sqrt(n).  Either moves down by 4
+while the integrand there is below e^-8: the G10/K21 error estimate of a
+first panel far wider than the mass can understate its error.  Survival is
+monotone, so the block [b, 4b] contributes at most 3b * survival(b)^n.
+The tail bound rests on one premise: the ratio r of a block to the one
+before it does not rise with b.  It holds for every log-concave survival,
+since d/db log(S(4b)/S(b)) = h(b) - 4h(4b) <= 0 for a non-decreasing
+hazard h, and for the power law (1+y)^-alpha.  So once r is at most
+_TAIL_RATIO_CAP**2, the integral beyond b is at most block / (1 - r).
 
 The grid is walked once.  The walk stops at the first boundary whose tail
 fits half the tolerance, but not below 1 unless the block and the
@@ -136,12 +137,9 @@ def _integrate_mesh(g, bounds, loc_tol):
 
 def _grid(dist: Distribution, n: int, budget: float):
     """Panel bounds 0, b_0, ..., y* on the boundaries b_k = w0 * 4^k, and a
-    certified bound on the integral beyond y*.
-
-    The first boundary moves down by 4 while the integrand has underflowed
-    there, so that the first panel cannot miss the mass.  The walk checks
-    the tail rule of the module docstring at each boundary and stops at y*;
-    it raises NonConvergentError at the largest floats without a tail bound.
+    certified bound on the integral beyond y*, by the rules of the module
+    docstring.  Raises NonConvergentError at the largest floats without a
+    tail bound.
     """
     f0 = dist.density_at_zero
     if f0 is not None and math.isfinite(f0) and f0 > 0.0:
@@ -150,7 +148,7 @@ def _grid(dist: Distribution, n: int, budget: float):
         w0 = 1.0 / math.sqrt(n)
     b = max(w0, _MIN_WIDTH)
     arg = n * dist.log_survival(b)
-    while math.exp(arg) == 0.0 and b > _MIN_WIDTH:
+    while arg < -8.0 and b > _MIN_WIDTH:
         b = max(0.25 * b, _MIN_WIDTH)
         arg = n * dist.log_survival(b)
     bounds = [0.0, b]

@@ -266,7 +266,10 @@ def test_error_bound_is_honest(family, param, n, hn, tol):
     assume(family != "heavy_tail" or n * param >= 1.2)
     dist, exact = _exact(family, param, n)
     res = survival_power_integral(dist, n, tol)
-    assert res.converged and res.abs_error_bound <= tol
+    # a tol within the rounding slack of the value is out of reach: the
+    # mean 1000 of exponential(1e-3) at n = 1 and tol 1e-13, for one
+    if tol > 8 * EPS * exact:
+        assert res.converged and res.abs_error_bound <= tol
     assert abs(res.value - exact) <= res.abs_error_bound + 8 * EPS * exact
 
 
@@ -280,10 +283,13 @@ def test_nmin_evaluation_count(n, limit):
     assert len(calls) <= limit
 
 
-@pytest.mark.parametrize("k,n,tol", [(1.25, 10**12, 1e-10), (1.05, 10**15, 1e-10), (1.01, 10**7, 1e-4)])
-def test_first_panel_finds_mass_below_first_guess(k, n, tol):
-    # power_law(k < 2) has its mass near n^(-1/k), far below the first
-    # guess 1/sqrt(n), where the integrand has underflowed at every node
+@pytest.mark.parametrize("k,n,tol", [(1.25, 10**12, 1e-10), (1.05, 10**15, 1e-10), (1.01, 10**7, 1e-4),
+                                     (1.4944, 255 * 10**6, 1e-10), (1.14284, 104 * 10**11, 1e-13)])
+def test_first_boundary_moves_down_to_the_mass(k, n, tol):
+    # power_law(k < 2) has its mass near n^(-1/k), far below the first guess
+    # 1/sqrt(n): the integrand has underflowed at every node there (the
+    # first three), or the G10/K21 estimate of a first panel reaching far
+    # past the mass falls short of its error (the last two)
     dist, exact = _exact("power_law", k, n)
     res = survival_power_integral(dist, n, tol)
     assert res.converged

@@ -8,9 +8,10 @@ One geometric grid carries both the panels and the tail bound.  Its
 boundaries b_k = w0 * 4^k start from a first width w0 on the scale where
 the mass sits: 1/(n f(0)) when the density at 0 is positive, which leaves
 the integrand near e^-4 there, else 1/sqrt(n).  Either moves down by 4
-while the integrand there is below e^-8: the G10/K21 error estimate of a
-first panel far wider than the mass can understate its error.  Survival is
-monotone, so the block [b, 4b] contributes at most 3b * survival(b)^n.
+while n log S there is below _FIRST_PANEL_LOG_FLOOR: the G10/K21 error
+estimate of a first panel far wider than the mass can understate it.
+Survival is monotone, so the block [b, 4b] contributes at most
+3b * survival(b)^n.
 The tail bound rests on one premise: the ratio r of a block to the one
 before it does not rise with b.  It holds for every log-concave survival,
 since d/db log(S(4b)/S(b)) = h(b) - 4h(4b) <= 0 for a non-decreasing
@@ -89,6 +90,8 @@ _TAIL_RATIO_CAP = 0.95  # per doubling; the grid's blocks span two doublings
 _MAX_LEAVES = 1000
 # the least first width: positive even when n * f(0) overflows
 _MIN_WIDTH = 2.0**-1022
+# a first panel far wider than the mass lets G10/K21 understate its error
+_FIRST_PANEL_LOG_FLOOR = -8.0
 
 
 @dataclass(frozen=True)
@@ -118,10 +121,10 @@ def _integrate_mesh(g, bounds, loc_tol):
     A panel is accepted when its error is within ``loc_tol`` (halved at
     each bisection) or at the level of rounding, or when splitting it
     would take the accepted and pending panels past _MAX_LEAVES; otherwise
-    it is bisected.  Returns (value, error, leaves).
-    """
+    it is bisected.  Returns (value, error, leaves)."""
     values, errors = [], []
     stack = [(a, b, loc_tol) for a, b in zip(bounds, bounds[1:])]
+    stack.reverse()  # left to right: a budget that runs out is spent near 0
     while stack:
         a, b, tol = stack.pop()
         value, err = _integrate_panel(g, a, b)
@@ -139,8 +142,7 @@ def _grid(dist: Distribution, n: int, budget: float):
     """Panel bounds 0, b_0, ..., y* on the boundaries b_k = w0 * 4^k, and a
     certified bound on the integral beyond y*, by the rules of the module
     docstring.  Raises NonConvergentError at the largest floats without a
-    tail bound.
-    """
+    tail bound."""
     f0 = dist.density_at_zero
     if f0 is not None and math.isfinite(f0) and f0 > 0.0:
         w0 = min(1.0, 4.0 / (n * f0 + 1.0))
@@ -148,7 +150,7 @@ def _grid(dist: Distribution, n: int, budget: float):
         w0 = 1.0 / math.sqrt(n)
     b = max(w0, _MIN_WIDTH)
     arg = n * dist.log_survival(b)
-    while arg < -8.0 and b > _MIN_WIDTH:
+    while arg < _FIRST_PANEL_LOG_FLOOR and b > _MIN_WIDTH:
         b = max(0.25 * b, _MIN_WIDTH)
         arg = n * dist.log_survival(b)
     bounds = [0.0, b]

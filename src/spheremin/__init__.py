@@ -26,7 +26,7 @@ from .minima import (
     expected_min,
     nmin,
 )
-from .quadrature import QuadratureResult, survival_power_integral
+from .quadrature import survival_power_integral
 from .special import gamma_ratio, log_erfc
 from .transfer import (
     Estimate,
@@ -48,7 +48,6 @@ __all__ = [
     "InvalidToleranceError",
     "MinResult",
     "NonConvergentError",
-    "QuadratureResult",
     "SphereMinError",
     "TransferReport",
     "asymptotic_min",

@@ -39,7 +39,9 @@ class CliParseError(ValueError, argparse.ArgumentTypeError):
 def parse_distribution(spec: str) -> Distribution:
     """Parse `half-normal`, `exponential:<rate>`, `uniform01`,
     `power-law:<k>`, `heavy-tail:<alpha>`."""
-    name, _, arg = spec.partition(":")
+    name, sep, arg = spec.partition(":")
+    if sep and name in ("half-normal", "uniform01"):
+        raise CliParseError(f"{name} takes no parameter, got {spec!r}")
     try:
         if name == "half-normal":
             return dists.half_normal()
@@ -83,6 +85,8 @@ SWEEP_COLUMNS = ("n", "value", "error_bound", "method", "scaled")
 
 def _parse_columns(spec: str) -> List[str]:
     columns = [c.strip() for c in spec.split(",") if c.strip()]
+    if not columns:
+        raise CliParseError(f"no column named in {spec!r}")
     unknown = [c for c in columns if c not in SWEEP_COLUMNS]
     if unknown:
         raise CliParseError(f"unknown columns: {', '.join(unknown)}")

@@ -3,37 +3,27 @@
 Two routes everywhere: exact survival-power quadrature and the
 large-n asymptotic 1/(f(0)(n+1)).  The half-normal specializations give
 the mean smallest coordinate magnitude on the sphere via the gamma
-half-ratio prefactor.
+half-ratio prefactor.  Every route returns the quadrature's MinResult;
+the asymptotic routes fill only its value and method.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 from .distributions import Distribution, half_normal
 from .errors import HypothesisViolatedError, _check_int
-from .quadrature import survival_power_integral
+from .quadrature import MinResult, survival_power_integral
 from .special import SQRT_PI, gamma_ratio
 
 DEFAULT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class MinResult:
-    n: int
-    value: float
-    method: str  # "quadrature" or "asymptotic"
-    error_bound: Optional[float]  # None = unknown (asymptotic route)
-    converged: Optional[bool]  # the quadrature met tol; None on the asymptotic route
-
-
 def expected_min(dist: Distribution, n: int, tol: float = DEFAULT_TOL) -> MinResult:
-    """E[min of n iid draws] = int_0^inf survival(y)^n dy."""
-    res = survival_power_integral(dist, n, tol)
-    return MinResult(n=n, value=res.value, method="quadrature",
-                     error_bound=res.abs_error_bound, converged=res.converged)
+    """E[min of n iid draws] = int_0^inf survival(y)^n dy, by the quadrature,
+    looked up as this module's global so that a wrapper installed there sees it."""
+    return survival_power_integral(dist, n, tol)
 
 
 def nmin(n: int, tol: float = DEFAULT_TOL) -> MinResult:
@@ -46,11 +36,12 @@ def emin(n: int, tol: float = DEFAULT_TOL) -> MinResult:
 
     Equals Gamma(n/2)/Gamma((n+1)/2) times the half-normal expected
     minimum; min|x_i| is 1-homogeneous, so the transfer factor is exact.
+    The value and bound are nmin's scaled by that factor; the truncation
+    point and panels are those of nmin's half-normal integral.
     """
     base = nmin(n, tol)
     factor = gamma_ratio(n, 1)
-    return MinResult(n=n, value=factor * base.value, method="quadrature",
-                     error_bound=factor * base.error_bound, converged=base.converged)
+    return dataclasses.replace(base, value=factor * base.value, error_bound=factor * base.error_bound)
 
 
 def asymptotic_min(dist: Distribution, n: int) -> MinResult:
@@ -67,8 +58,7 @@ def asymptotic_min(dist: Distribution, n: int) -> MinResult:
             f"{dist.name}: asymptotic minimum needs a finite nonvanishing "
             f"density at 0, but f(0+) is {'undefined' if f0 is None else f0}",
         )
-    return MinResult(n=n, value=1.0 / (f0 * (n + 1)), method="asymptotic",
-                     error_bound=None, converged=None)
+    return MinResult(n, 1.0 / (f0 * (n + 1)), "asymptotic")
 
 
 def emin_asymptotic(n: int) -> MinResult:
@@ -78,4 +68,4 @@ def emin_asymptotic(n: int) -> MinResult:
     sqrt(pi/2) * n^(-3/2) for large n.
     """
     value = gamma_ratio(n, 1) * SQRT_PI / (2.0 * (n + 1))
-    return MinResult(n=n, value=value, method="asymptotic", error_bound=None, converged=None)
+    return MinResult(n, value, "asymptotic")

@@ -29,18 +29,21 @@ is divergent or nearly so.
 
 The panels between consecutive boundaries up to y* are integrated by
 QUADPACK's 10/21-point Gauss-Kronrod pair (qk21): 21 evaluations give the
-K21 value and the error estimate |K21 - G10|.  Panels that miss their
-share of the tolerance are bisected, within one budget of leaves per
-integral, so every call does bounded work.  A result has converged
-exactly when its error bound, the tail bound plus the panel errors, is
-within the tolerance.
+K21 value and the error estimate |K21 - G10|, one exact sum, so it is not
+a whole number of ulps of the panel's value.  Panels that miss their share
+of the tolerance are bisected, within one budget of leaves per integral,
+so every call does bounded work.  The result is the MinResult that every
+route of minima hands on; it has converged exactly when its error bound,
+the tail bound plus the panel errors, is within the tolerance.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
+from typing import Optional
 
 from .distributions import Distribution
 from .errors import InvalidToleranceError, NonConvergentError, _check_int
@@ -83,6 +86,8 @@ _WG_HALF = (
 _XK = _XK_HALF + tuple(-x for x in _XK_HALF[-2::-1])
 _WK = _WK_HALF + _WK_HALF[-2::-1]
 _WG = _WG_HALF + _WG_HALF[::-1]
+# K21 - G10 at each node: the Gauss weights sit at the odd indices
+_WD = tuple(w - _WG[i // 2] if i % 2 else w for i, w in enumerate(_WK))
 
 _TAIL_RATIO_CAP = 0.95  # per doubling; the grid's blocks span two doublings
 # leaves (accepted panels) per integral, which bounds the work of any call;
@@ -95,24 +100,24 @@ _FIRST_PANEL_LOG_FLOOR = -8.0
 
 
 @dataclass(frozen=True)
-class QuadratureResult:
+class MinResult:
+    n: int
     value: float
-    abs_error_bound: float
-    truncation_point: float
-    panels: int
-    converged: bool
+    method: str  # "quadrature" or "asymptotic"
+    error_bound: Optional[float] = None  # this and the rest None when asymptotic
+    converged: Optional[bool] = None  # error_bound <= tol
+    truncation_point: Optional[float] = None  # y*, where the panels end
+    panels: Optional[int] = None  # accepted G10/K21 panels
 
 
 def _integrate_panel(g, a, b):
     """One G10/K21 panel: g is evaluated once at the 21 Kronrod nodes of
     [a, b].  Returns the K21 value and the error estimate |K21 - G10|,
-    with G10 read from the same values at the 10 Gauss nodes."""
+    one exact sum over the weight differences _WD."""
     h = 0.5 * (b - a)
     c = 0.5 * (a + b)
     fx = [g(c + h * x) for x in _XK]
-    kronrod = h * math.fsum(w * f for w, f in zip(_WK, fx))
-    gauss = h * math.fsum(w * f for w, f in zip(_WG, fx[1::2]))
-    return kronrod, abs(kronrod - gauss)
+    return h * math.fsum(map(operator.mul, _WK, fx)), abs(h * math.fsum(map(operator.mul, _WD, fx)))
 
 
 def _integrate_mesh(g, bounds, loc_tol):
@@ -177,8 +182,9 @@ def _grid(dist: Distribution, n: int, budget: float):
     return bounds, tail
 
 
-def survival_power_integral(dist: Distribution, n: int, tol: float) -> QuadratureResult:
-    """int_0^y* exp(n log_survival(y)) dy plus a certified tail bound.
+def survival_power_integral(dist: Distribution, n: int, tol: float) -> MinResult:
+    """E[min of n iid draws] = int_0^inf exp(n log_survival(y)) dy: the
+    panels up to y* (truncation_point) plus a certified tail bound beyond.
 
     ``tol`` is an absolute error target on the integral value (the value
     itself shrinks like 1/n, so relative targets are unstable).
@@ -193,11 +199,5 @@ def survival_power_integral(dist: Distribution, n: int, tol: float) -> Quadratur
     # split would starve the panels near 0 where the mass sits
     loc_tol = 0.5 * tol / (len(bounds) - 1)
     value, panel_error, panels = _integrate_mesh(lambda y: math.exp(n * log_s(y)), bounds, loc_tol)
-    abs_error_bound = tail_bound + panel_error
-    return QuadratureResult(
-        value=value,
-        abs_error_bound=abs_error_bound,
-        truncation_point=bounds[-1],
-        panels=panels,
-        converged=abs_error_bound <= tol,
-    )
+    error_bound = tail_bound + panel_error
+    return MinResult(n, value, "quadrature", error_bound, error_bound <= tol, bounds[-1], panels)

@@ -39,7 +39,7 @@ class TestParsing:
         assert parse_distribution("heavy-tail:0.5").density_at_zero == 0.5
 
     @pytest.mark.parametrize("bad", ["gaussian", "exponential", "exponential:abc",
-                                     "heavy-tail:-1"])
+                                     "heavy-tail:-1", "half-normal:3", "uniform01:abc"])
     def test_bad_distribution(self, bad):
         with pytest.raises(CliParseError):
             parse_distribution(bad)
@@ -175,6 +175,10 @@ class TestExitCodes:
         ["verify", "--seed", "-1"],
         ["sphere-mean", "--n", "3", "--seed", "-1"],
         ["emin", "--n", "1" + "0" * 400],  # n beyond the largest float
+        # a parameter or a column list that would be dropped
+        ["expected-min", "--n", "3", "--dist", "half-normal:3"],
+        ["expected-min", "--n", "3", "--dist", "uniform01:abc"],
+        ["sweep", "--command", "emin", "--n", "3", "--columns", ","],
     ])
     def test_bad_value_is_a_parse_error(self, argv, capsys):
         code, out, err = run(argv, capsys)

@@ -18,7 +18,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from spheremin.distributions import exponential, half_normal, heavy_tail, power_law, uniform01
 from spheremin.errors import InvalidToleranceError, NonConvergentError
-from spheremin.quadrature import _WG, _WK, _XK, survival_power_integral
+from spheremin.minima import asymptotic_min, emin, emin_asymptotic, expected_min, nmin
+from spheremin.quadrature import _WD, _WG, _WK, _XK, survival_power_integral
+from spheremin.special import gamma_ratio
 
 INV_SQRT_PI = 0.5641895835477563
 ERFC_SQUARED_INTEGRAL = 0.3304946062926472  # mpmath, (2-sqrt(2))/sqrt(pi)
@@ -100,16 +102,28 @@ def test_refining_tol_is_stable():
         loose = survival_power_integral(dist, 7, 1e-6)
         tight = survival_power_integral(dist, 7, 1e-7)
         assert abs(loose.value - tight.value) <= max(
-            loose.abs_error_bound, tight.abs_error_bound
+            loose.error_bound, tight.error_bound
         )
 
 
 def test_result_fields():
+    # every route hands on the quadrature's MinResult: the quadrature routes
+    # with their truncation point and panels, the asymptotic routes with neither
     res = survival_power_integral(half_normal(), 5, 1e-10)
+    assert (res.n, res.method) == (5, "quadrature")
     assert res.value >= 0.0
-    assert res.abs_error_bound >= 0.0
-    assert res.panels >= 1
-    assert res.converged == (res.abs_error_bound <= 1e-10)
+    assert res.error_bound >= 0.0
+    assert res.converged == (res.error_bound <= 1e-10)
+    assert expected_min(half_normal(), 5, 1e-10) == res
+    for r in (res, expected_min(exponential(1.0), 5), nmin(5), emin(5)):
+        assert r.panels >= 1
+        assert 0.0 < r.truncation_point < math.inf
+    base, sphere, factor = nmin(5), emin(5), gamma_ratio(5, 1)
+    assert (sphere.panels, sphere.truncation_point) == (base.panels, base.truncation_point)
+    assert sphere.value == factor * base.value
+    assert sphere.error_bound == factor * base.error_bound
+    for r in (asymptotic_min(exponential(1.0), 5), emin_asymptotic(5)):
+        assert r.panels is None and r.truncation_point is None
 
 
 def _counting(dist, limit=10**6):
@@ -162,7 +176,7 @@ def test_divergence_classification(n, n_alpha):
     else:
         res = survival_power_integral(dist, n, 1e-10)
         assert res.converged
-        assert abs(res.value - exact) <= res.abs_error_bound + 8 * EPS * exact
+        assert abs(res.value - exact) <= res.error_bound + 8 * EPS * exact
 
 
 def _log_block_ratios(dist, n, w0):
@@ -232,6 +246,8 @@ def test_kronrod_table_is_exact():
         if k <= 19:
             gauss = math.fsum(w * x**k for w, x in zip(_WG, _XK[1::2]))
             assert abs(gauss - exact) <= 1e-15
+            # the weights of the panel error K21 - G10 integrate them to 0
+            assert abs(math.fsum(w * x**k for w, x in zip(_WD, _XK))) <= 1e-15
 
 
 def _exact(family, param, n):
@@ -266,8 +282,18 @@ def test_error_bound_is_honest(family, param, n, hn, tol):
     assume(family != "heavy_tail" or n * param >= 1.2)
     dist, exact = _exact(family, param, n)
     res = survival_power_integral(dist, n, tol)
-    assert res.converged and res.abs_error_bound <= tol
-    assert abs(res.value - exact) <= res.abs_error_bound + 8 * EPS * exact
+    assert res.converged and res.error_bound <= tol
+    assert abs(res.value - exact) <= res.error_bound + 8 * EPS * exact
+
+
+def test_panel_error_is_finer_than_an_ulp_of_the_value():
+    # the mean 1000 of exponential(1e-3) at n = 1 comes back exact, and tol
+    # is below its ulp (1.1e-13); |K21 - G10| formed as the difference of two
+    # rounded sums is a whole number of ulps of each panel, a bound of 1.8e-13
+    dist, exact = _exact("exponential", 1e-3, 1)
+    res = survival_power_integral(dist, 1, 1e-13)
+    assert res.converged and res.error_bound <= 1e-13
+    assert abs(res.value - exact) <= res.error_bound + 8 * EPS * exact
 
 
 @pytest.mark.parametrize("n,limit", [(10, 50), (10**6, 120)])
@@ -290,7 +316,7 @@ def test_first_boundary_moves_down_to_the_mass(k, n, tol):
     dist, exact = _exact("power_law", k, n)
     res = survival_power_integral(dist, n, tol)
     assert res.converged
-    assert abs(res.value - exact) <= res.abs_error_bound + 8 * EPS * exact
+    assert abs(res.value - exact) <= res.error_bound + 8 * EPS * exact
 
 
 @settings(max_examples=200, deadline=None)
@@ -316,11 +342,11 @@ def test_unreachable_tolerance_ends_in_bounded_work(family, param, n, hn, tol):
     t0 = time.perf_counter()
     res = survival_power_integral(counted, n, tol)
     assert time.perf_counter() - t0 < 5.0
-    assert abs(res.value - exact) <= res.abs_error_bound + 8 * EPS * exact
-    assert res.converged == (res.abs_error_bound <= tol)
+    assert abs(res.value - exact) <= res.error_bound + 8 * EPS * exact
+    assert res.converged == (res.error_bound <= tol)
     if (family, n, tol) == ("half_normal", 10, 1e-300):
         assert res.converged is False
         assert abs(res.value - ERFC_POWER_INTEGRAL[10]) <= 1e-15
         # the budget goes to the panels from the left, where the mass sits;
         # spent from the right, it leaves a bound near 1e-13
-        assert res.abs_error_bound <= 1e-17
+        assert res.error_bound <= 1e-17

@@ -167,8 +167,8 @@ def sphere_mean_from_gaussian(
 ) -> Estimate:
     """Estimate the spherical mean of f via Gaussian draws and the exact
     gamma-ratio transfer factor."""
+    factor = gamma_ratio(n, f.degree)  # rejects a bad degree before sampling
     mean, se = _sample_mean(f, n, samples, seed, normalise=False)
-    factor = gamma_ratio(n, f.degree)
     return Estimate(point=factor * mean, std_error=factor * se, samples=samples)
 
 

@@ -74,8 +74,15 @@ class TestLogErfc:
             assert lo == pytest.approx(hi, rel=1e-10, abs=1e-10)
 
 
-class TestLnGamma:
-    """ln Gamma at n/2 and (n+d)/2, as gamma_ratio reads it from math.lgamma."""
+def _mp_ratio(n, d):
+    """Gamma(n/2) / Gamma((n+d)/2) from 40-digit mpmath."""
+    with mp.workdps(40 + len(str(n))):
+        return mp.exp(mp.loggamma(mp.mpf(n) / 2) - mp.loggamma(mp.mpf(n + d) / 2))
+
+
+class TestGammaRatio:
+    def test_d_zero_is_exactly_one(self):
+        assert gamma_ratio(5, 0) == 1.0
 
     def test_known_values(self):
         assert gamma_ratio(2, 2) == 1.0  # Gamma(1) / Gamma(2)
@@ -86,11 +93,6 @@ class TestLnGamma:
     def test_rejects_nonpositive(self, bad):
         with pytest.raises(ValueError):
             gamma_ratio(bad, 1)
-
-
-class TestGammaRatio:
-    def test_d_zero_is_exactly_one(self):
-        assert gamma_ratio(5, 0) == 1.0
 
     def test_small_cases(self):
         assert gamma_ratio(1, 1) == pytest.approx(SQRT_PI, rel=1e-13)
@@ -113,6 +115,12 @@ class TestGammaRatio:
         n = 10**6
         assert abs(gamma_ratio(n, 1) * math.sqrt((n + 1) / 2.0) - 1.0) < 1e-5
 
+    def test_large_degree_ends_in_underflow(self):
+        # the product loop stops at its first 0.0, some 180 steps in
+        assert gamma_ratio(1, 10**18) == 0.0
+        assert gamma_ratio(2, 10**18) == 0.0
+        assert gamma_ratio(3, 10**18 + 1) == 0.0
+
     def test_strictly_decreasing_in_n(self):
         vals = [gamma_ratio(n, 1) for n in range(1, 200)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
@@ -128,13 +136,19 @@ class TestGammaRatio:
             gamma_ratio(n, d)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_every_small_n_against_mpmath(self, d):
+        # the upward steps below x = 8 and the series just above it
+        for n in range(1, 2001):
+            exact = _mp_ratio(n, d)
+            assert abs(gamma_ratio(n, d) - exact) <= 3 * EPS * exact, n
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
     def test_large_n_against_mpmath(self, d):
-        # above n = 1000 the ratio comes from the large-x series; the
-        # difference of two lgamma values loses 3.5% at n = 10^13
+        # the series holds its accuracy out to n = 1e300, where a difference
+        # of two ln Gamma values would lose 3.5% already at n = 10^13
         ns = list(range(1001, 1041)) + [10**k + j for k in range(4, 301, 4) for j in (0, 1)]
         for n in ns:
-            with mp.workdps(40 + len(str(n))):
-                exact = mp.exp(mp.loggamma(mp.mpf(n) / 2) - mp.loggamma(mp.mpf(n + d) / 2))
+            exact = _mp_ratio(n, d)
             if exact < 2.3e-308:  # beyond the normal floats (d = 3 at n > 1e205)
                 continue
             assert abs(gamma_ratio(n, d) - exact) <= 3 * EPS * exact, n

@@ -154,18 +154,20 @@ ROUTES = {r.__name__: r for r in (sphere_mean_from_gaussian, sphere_mean_direct)
 
 # Estimates recorded bit for bit before the sampling kernel was blocked:
 # min-abs at n=2 spans two chunks, sum-abs at n=1000 ends each chunk in a
-# partial block of 35 rows, and sum-squares at n=7 folds its columns.
+# partial block of 35 rows, and sum-squares at n=7 folds its columns.  The
+# Gaussian rows pin the kernel's (mean, se) before the gamma factor, which
+# test_special checks against mpmath on its own.
 PINNED = [
     ("min-abs", 2, 2_001_000, 2024, "sphere_mean_from_gaussian",
-     "0x1.7d9969c219f23p-2", "0x1.c2263a1933fcbp-13"),
+     "0x1.522efcfd171b2p-2", "0x1.8eef383535e26p-13"),
     ("min-abs", 2, 2_001_000, 2024, "sphere_mean_direct",
      "0x1.7d954fbc2fa5dp-2", "0x1.320c92cda9840p-13"),
     ("sum-abs", 1000, 4_100, 2025, "sphere_mean_from_gaussian",
-     "0x1.9416bdd74ac29p+4", "0x1.33db2371777b9p-7"),
+     "0x1.1a4b89fedbca3p+9", "0x1.ae2261df83478p-3"),
     ("sum-abs", 1000, 4_100, 2025, "sphere_mean_direct",
      "0x1.93e05e21d811fp+4", "0x1.b2337ac0b7970p-9"),
     ("sum-squares", 7, 5_000, 2026, "sphere_mean_from_gaussian",
-     "0x1.fea5a11d71942p-1", "0x1.e66204d601095p-8"),
+     "0x1.bed0ecf9c3622p+1", "0x1.a995c43b40e8ap-6"),
     ("sum-squares", 7, 5_000, 2026, "sphere_mean_direct",
      "0x1.0000000000000p+0", "0x0.0p+0"),
 ]
@@ -173,8 +175,15 @@ PINNED = [
 
 @pytest.mark.parametrize("name, n, samples, seed, route, point, std_error", PINNED)
 def test_estimates_are_pinned(name, n, samples, seed, route, point, std_error):
-    est = ROUTES[route](builtin_function(name), n, samples, seed)
-    assert (est.point.hex(), est.std_error.hex(), est.samples) == (point, std_error, samples)
+    f = builtin_function(name)
+    est = ROUTES[route](f, n, samples, seed)
+    bits = (est.point, est.std_error)
+    if route == "sphere_mean_from_gaussian":
+        mean, se = transfer._sample_mean(f, n, samples, seed, normalise=False)
+        factor = gamma_ratio(n, f.degree)
+        assert bits == (factor * mean, factor * se)
+        bits = (mean, se)
+    assert (bits[0].hex(), bits[1].hex(), est.samples) == (point, std_error, samples)
 
 
 REDUCTIONS = {
@@ -217,6 +226,16 @@ def test_eval_must_return_one_value_per_row(route, bad_eval):
     f = HomogeneousFunction("bad-shape", 1, bad_eval)
     with pytest.raises(ValueError, match="bad-shape"):
         route(f, 3, 100, 0)
+
+
+@pytest.mark.parametrize("degree", [-1, 1.5])
+def test_bad_degree_is_rejected_before_sampling(degree):
+    def never(x):
+        raise AssertionError("eval called before the degree was checked")
+
+    f = HomogeneousFunction("bad-degree", degree, never)
+    with pytest.raises(ValueError, match="d must be"):
+        sphere_mean_from_gaussian(f, 3, 100, 0)
 
 
 @pytest.mark.parametrize("route", ROUTES.values(), ids=ROUTES)

@@ -216,16 +216,16 @@ def _run_verify(args: argparse.Namespace, out: io.TextIOBase) -> int:
            if abs(gamma_ratio(n, 2) * (n / 2.0) - 1.0) > 1e-12]
     check("gamma-identity-degree2", not bad, f"violations={len(bad)}")
 
-    root = np.random.SeedSequence(args.seed)
+    children = np.random.SeedSequence(args.seed).spawn(8)
     min_abs = transfer.builtin_function("min-abs")
-    for n, child in zip((2, 5, 10), root.spawn(3)):
+    for n, child in zip((2, 5, 10), children[:3]):
         est = transfer.sphere_mean_direct(min_abs, n, args.samples, child)
         ref = minima.emin(n, tol)
         z = abs(est.point - ref.value) / est.std_error if est.std_error > 0 else 0.0
         check(f"sphere-vs-quadrature-n{n}", z <= 4.0,
               f"mc={_fmt(est.point)} quad={_fmt(ref.value)} z={z:.3f}", ref.converged)
 
-    for f, child in zip(transfer.builtin_functions(), root.spawn(8)[3:]):
+    for f, child in zip(transfer.builtin_functions(), children[3:]):
         rep = transfer.transfer_identity_check(f, 3, args.samples, child)
         check(f"transfer-identity-{f.name}-n3", rep.agree,
               f"z={rep.z_score:.3f}")

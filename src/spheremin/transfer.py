@@ -10,12 +10,10 @@ the left directly via normalized Gaussian vectors (uniform on the
 sphere).  Both routes share one sampling kernel, and estimates are
 bitwise-reproducible for a fixed seed.
 
-Chunks fix the summation order: the samples fall into chunks of
-_CHUNK_ELEMENTS coordinates, each chunk's f-values are added by one
-np.sum, and the chunk sums by math.fsum.  Blocks bound the memory: inside
-a chunk, rows are drawn in blocks of about _BLOCK_ELEMENTS coordinates
-into one reused buffer, so an estimate holds one block and one chunk's
-f-values whatever its sample count.
+Rows are drawn in blocks of about _BLOCK_ELEMENTS coordinates into one
+reused buffer, and each block's f-values are added by one np.sum and the
+block sums by math.fsum, so the block size bounds an estimate's memory
+and, as part of the seed-reproducibility contract, fixes its bits.
 """
 
 from __future__ import annotations
@@ -32,8 +30,7 @@ from .special import gamma_ratio
 
 SeedLike = Union[int, np.random.SeedSequence]
 
-_CHUNK_ELEMENTS = 4_000_000  # floats per sampling chunk
-_BLOCK_ELEMENTS = 2**16  # floats per block of rows drawn at once
+_BLOCK_ELEMENTS = 2**16  # floats per block of rows drawn and summed at once
 _FOLD_BELOW = 8  # numpy adds a row of fewer coordinates in order
 
 
@@ -124,37 +121,34 @@ def _sample_mean(
     _check_int("n", n)
     _check_int("samples", samples, 2)
     rng = np.random.default_rng(seed)
-    chunk_rows = max(1, _CHUNK_ELEMENTS // n)
     block_rows = max(1, _BLOCK_ELEMENTS // n)
     block = np.empty((min(block_rows, samples), n))
-    vals = np.empty(min(chunk_rows, samples))
+    vals = np.empty(len(block))  # float64 whatever eval's dtype
     root_half = math.sqrt(0.5)
     sums, sumsqs = [], []
-    for first in range(0, samples, chunk_rows):
-        take = min(chunk_rows, samples - first)
-        for lo in range(0, take, block_rows):
-            hi = min(lo + block_rows, take)
-            x = block[:hi - lo]
-            rng.standard_normal(out=x)
-            if normalise:
+    for lo in range(0, samples, block_rows):
+        rows = min(block_rows, samples - lo)
+        x = block[:rows]
+        rng.standard_normal(out=x)
+        if normalise:
+            norms = np.sqrt(_sum_squares(x))
+            while np.any(norms == 0.0):  # probability-zero guard
+                bad = norms == 0.0
+                x[bad] = rng.standard_normal((int(np.sum(bad)), n))
                 norms = np.sqrt(_sum_squares(x))
-                while np.any(norms == 0.0):  # probability-zero guard
-                    bad = norms == 0.0
-                    x[bad] = rng.standard_normal((int(np.sum(bad)), n))
-                    norms = np.sqrt(_sum_squares(x))
-                x /= norms[:, None]
-            else:
-                x *= root_half
-            v = f.eval(x)
-            if np.shape(v) != (hi - lo,):
-                raise ValueError(
-                    f"function {f.name!r}: eval of a ({hi - lo}, {n}) block "
-                    f"returned shape {np.shape(v)}, expected one value per row")
-            vals[lo:hi] = v
-        chunk = vals[:take]
-        sums.append(float(np.sum(chunk)))
-        chunk *= chunk
-        sumsqs.append(float(np.sum(chunk)))
+            x /= norms[:, None]
+        else:
+            x *= root_half
+        v = f.eval(x)
+        if np.shape(v) != (rows,):
+            raise ValueError(
+                f"function {f.name!r}: eval of a ({rows}, {n}) block "
+                f"returned shape {np.shape(v)}, expected one value per row")
+        y = vals[:rows]
+        y[:] = v
+        sums.append(float(np.sum(y)))
+        y *= y
+        sumsqs.append(float(np.sum(y)))
     total = math.fsum(sums)
     total_sq = math.fsum(sumsqs)
     mean = total / samples

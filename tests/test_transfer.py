@@ -152,20 +152,21 @@ def test_emin_agrees_with_direct_mc():
 
 ROUTES = {r.__name__: r for r in (sphere_mean_from_gaussian, sphere_mean_direct)}
 
-# Estimates recorded bit for bit before the sampling kernel was blocked:
-# min-abs at n=2 spans two chunks, sum-abs at n=1000 ends each chunk in a
-# partial block of 35 rows, and sum-squares at n=7 folds its columns.  The
-# Gaussian rows pin the kernel's (mean, se) before the gamma factor, which
-# test_special checks against mpmath on its own.
+# Estimates recorded bit for bit from the block-summing kernel: min-abs at
+# n=2 spans 61 full blocks and ends in a partial one of 2152 rows, sum-abs
+# at n=1000 ends in a partial block of 5 rows after 63 of 65, and
+# sum-squares at n=7 folds its columns.  The Gaussian rows pin the kernel's
+# (mean, se) before the gamma factor, which test_special checks against
+# mpmath on its own.
 PINNED = [
     ("min-abs", 2, 2_001_000, 2024, "sphere_mean_from_gaussian",
      "0x1.522efcfd171b2p-2", "0x1.8eef383535e26p-13"),
     ("min-abs", 2, 2_001_000, 2024, "sphere_mean_direct",
-     "0x1.7d954fbc2fa5dp-2", "0x1.320c92cda9840p-13"),
+     "0x1.7d954fbc2fa5ep-2", "0x1.320c92cda983dp-13"),
     ("sum-abs", 1000, 4_100, 2025, "sphere_mean_from_gaussian",
-     "0x1.1a4b89fedbca3p+9", "0x1.ae2261df83478p-3"),
+     "0x1.1a4b89fedbca2p+9", "0x1.ae2261df8477bp-3"),
     ("sum-abs", 1000, 4_100, 2025, "sphere_mean_direct",
-     "0x1.93e05e21d811fp+4", "0x1.b2337ac0b7970p-9"),
+     "0x1.93e05e21d811ep+4", "0x1.b2337ac0b9f1bp-9"),
     ("sum-squares", 7, 5_000, 2026, "sphere_mean_from_gaussian",
      "0x1.bed0ecf9c3622p+1", "0x1.a995c43b40e8ap-6"),
     ("sum-squares", 7, 5_000, 2026, "sphere_mean_direct",
@@ -239,9 +240,9 @@ def test_bad_degree_is_rejected_before_sampling(degree):
 
 
 @pytest.mark.parametrize("route", ROUTES.values(), ids=ROUTES)
-@pytest.mark.parametrize("n", [2, 1000])
+@pytest.mark.parametrize("n", [1, 2, 1000])
 def test_memory_is_bounded_by_blocks(route, n):
-    # 4M coordinates; one chunk's f-values take 16 MB at n=2
+    # 4M coordinates, whose f-values alone would take 32 MB at n=1
     f = builtin_function("min-abs")
     tracemalloc.start()
     try:
@@ -249,7 +250,24 @@ def test_memory_is_bounded_by_blocks(route, n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 20 * 2**20
+    assert peak <= 4 * 2**20
+
+
+@pytest.mark.parametrize("route", ROUTES.values(), ids=ROUTES)
+def test_values_are_summed_as_float64(route):
+    f = builtin_function("min-abs")
+    narrow = HomogeneousFunction("narrow", 1, lambda x: f.eval(x).astype(np.float32))
+    wide = HomogeneousFunction(
+        "wide", 1, lambda x: f.eval(x).astype(np.float32).astype(np.float64))
+    assert route(narrow, 3, 70_000, 5) == route(wide, 3, 70_000, 5)
+
+
+@pytest.mark.parametrize("route", ROUTES.values(), ids=ROUTES)
+def test_bool_indicator_is_summed_as_float64(route):
+    # P(x_1 > 0) = 1/2 on the sphere and under the Gaussian
+    f = HomogeneousFunction("first-positive", 0, lambda x: x[..., 0] > 0)
+    est = route(f, 3, 70_000, 6)
+    assert abs(est.point - 0.5) <= 6 * est.std_error
 
 
 class _ZeroFirstRow:

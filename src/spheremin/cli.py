@@ -1,10 +1,13 @@
 """Command-line interface.
 
 Subcommands: nmin, emin, expected-min, asymptotic, sphere-mean, sweep,
-verify.  Data rows go to stdout (csv, json, or an aligned table);
-diagnostics go to stderr.  Exit codes: 0 ok, 1 verify failure, 2 parse
-error, 3 nonconvergent integral (or rows written whose error bound is above
---tol, with one warning line), 4 violated asymptotic hypothesis.
+verify.  The four min commands are the rows of one route table,
+_MIN_ROUTES; `sweep --command X` is X over an n-range with --columns, and
+accepts exactly the options of X's route.  Data rows go to stdout (csv,
+json, or an aligned table); diagnostics go to stderr.  Exit codes: 0 ok,
+1 verify failure, 2 parse error, 3 nonconvergent integral (or rows written
+whose error bound is above --tol, with one warning line), 4 violated
+asymptotic hypothesis.
 """
 
 from __future__ import annotations
@@ -82,6 +85,21 @@ def parse_n_range(spec: str) -> List[int]:
 
 SWEEP_COLUMNS = ("n", "value", "error_bound", "method", "scaled")
 
+# The route table of the min commands: help text, the options each reads
+# (of _MIN_OPTIONS, all None unless given), and its minima call, looked up on
+# `minima` when it runs so that a wrapper installed there sees it.
+_MIN_OPTIONS = {"tol": float, "dist": parse_distribution}
+_MIN_ROUTES = {
+    "emin": ("mean min |x_i| over the unit sphere", ("tol",),
+             lambda args, n: minima.emin(n, args.tol)),
+    "nmin": ("expected min |Z_i|, Z_i ~ N(0, 1/2)", ("tol",),
+             lambda args, n: minima.nmin(n, args.tol)),
+    "expected-min": ("expected minimum for a distribution", ("tol", "dist"),
+                     lambda args, n: minima.expected_min(args.dist, n, args.tol)),
+    "asymptotic": ("asymptotic law 1/(f(0)(n+1))", ("dist",),
+                   lambda args, n: minima.asymptotic_min(args.dist, n)),
+}
+
 
 def _parse_columns(spec: str) -> List[str]:
     columns = [c.strip() for c in spec.split(",") if c.strip()]
@@ -109,7 +127,7 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _emit(rows: List[dict], columns: List[str], fmt: str, out: io.TextIOBase) -> None:
+def _emit(rows: List[dict], columns: Sequence[str], fmt: str, out: io.TextIOBase) -> None:
     if fmt == "csv":
         out.write(",".join(columns) + "\n")
         for row in rows:
@@ -119,46 +137,31 @@ def _emit(rows: List[dict], columns: List[str], fmt: str, out: io.TextIOBase) ->
         out.write(json.dumps(payload, indent=2) + "\n")
     else:  # table
         cells = [[_fmt(row[c]) for c in columns] for row in rows]
-        widths = [max(len(c), *(len(r[i]) for r in cells)) if cells else len(c)
-                  for i, c in enumerate(columns)]
+        widths = [max(len(c), *(len(r[i]) for r in cells)) for i, c in enumerate(columns)]
         out.write("  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip() + "\n")
         for r in cells:
             out.write("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip() + "\n")
 
 
-def _min_row(res: minima.MinResult) -> dict:
-    return {
-        "n": res.n,
-        "value": res.value,
-        "error_bound": res.error_bound if res.error_bound is not None else "unknown",
-        "method": res.method,
-    }
-
-
-def _compute_min(command: str, args: argparse.Namespace, n: int) -> minima.MinResult:
-    if command == "emin":
-        return minima.emin(n, args.tol)
-    if command == "nmin":
-        return minima.nmin(n, args.tol)
-    if command == "expected-min":
-        return minima.expected_min(args.dist, n, args.tol)
-    return minima.asymptotic_min(args.dist, n)
-
-
-def _run_min_command(args: argparse.Namespace, out: io.TextIOBase) -> int:
-    command = getattr(args, "sweep_command", args.command)
-    if command in ("expected-min", "asymptotic") and args.dist is None:
-        raise CliParseError(f"{command} requires --dist")
-    columns = getattr(args, "columns", None) or ["n", "value", "error_bound", "method"]
+def _run_min(args: argparse.Namespace, out: io.TextIOBase) -> int:
+    """One row per n of the route's call, for a min command or its sweep."""
+    _, reads, call = _MIN_ROUTES[args.route]
+    for dest in _MIN_OPTIONS:
+        if vars(args)[dest] is not None and dest not in reads:
+            raise CliParseError(f"{args.route} takes no --{dest}")
+    if "dist" in reads and args.dist is None:
+        raise CliParseError(f"{args.route} requires --dist")
+    if args.tol is None:
+        args.tol = minima.DEFAULT_TOL
     rows, unconverged = [], []
     for n in args.n_range or [args.n]:
-        res = _compute_min(command, args, n)
-        row = _min_row(res)
-        row["scaled"] = (n + 1) * res.value
-        rows.append(row)
+        res = call(args, n)
+        bound = "unknown" if res.error_bound is None else res.error_bound
+        rows.append({"n": n, "value": res.value, "error_bound": bound,
+                     "method": res.method, "scaled": (n + 1) * res.value})
         if res.converged is False:
             unconverged.append(n)
-    _emit(rows, columns, args.fmt, out)
+    _emit(rows, args.columns, args.fmt, out)
     if unconverged:
         print(f"warning: {len(unconverged)} of {len(rows)} rows did not converge "
               f"(error_bound above --tol {args.tol:g}), first at n={unconverged[0]}",
@@ -243,40 +246,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tol=True, dist=False):
+    def common(p):
         ns = p.add_mutually_exclusive_group(required=True)
         ns.add_argument("--n", type=int)
         ns.add_argument("--n-range", type=parse_n_range)
-        if tol:
-            p.add_argument("--tol", type=float, default=minima.DEFAULT_TOL)
-        if dist:
-            p.add_argument("--dist", type=parse_distribution)
         p.add_argument("--format", dest="fmt", choices=("csv", "json", "table"),
                        default="table")
         p.add_argument("--output", type=str)
         return p
 
-    common(sub.add_parser("emin", help="mean min |x_i| over the unit sphere"))
-    common(sub.add_parser("nmin", help="expected min |Z_i|, Z_i ~ N(0, 1/2)"))
-    common(sub.add_parser("expected-min", help="expected minimum for a distribution"),
-           dist=True)
-    common(sub.add_parser("asymptotic", help="asymptotic law 1/(f(0)(n+1))"),
-           tol=False, dist=True)
-    mean = common(sub.add_parser("sphere-mean", help="direct Monte Carlo sphere mean"),
-                  tol=False)
+    def min_command(name, help_text, reads):
+        p = common(sub.add_parser(name, help=help_text))
+        for dest in reads:
+            p.add_argument(f"--{dest}", type=_MIN_OPTIONS[dest])
+        p.set_defaults(run=_run_min, columns=SWEEP_COLUMNS[:4], **dict.fromkeys(_MIN_OPTIONS))
+        return p
+
+    for name, (help_text, reads, _) in _MIN_ROUTES.items():
+        min_command(name, help_text, reads).set_defaults(route=name)
+    mean = common(sub.add_parser("sphere-mean", help="direct Monte Carlo sphere mean"))
     mean.add_argument("--fn", choices=[f.name for f in transfer.builtin_functions()],
                       default="min-abs")
     mean.add_argument("--samples", type=int, default=1_000_000)
     mean.add_argument("--seed", type=_parse_seed, default=0)
-    sweep = common(sub.add_parser("sweep", help="run a command over an n-range"), dist=True)
-    sweep.add_argument("--command", dest="sweep_command", required=True,
-                       choices=("emin", "nmin", "expected-min", "asymptotic"))
+    mean.set_defaults(run=_run_sphere_mean)
+    sweep = min_command("sweep", "run a command over an n-range", _MIN_OPTIONS)
+    sweep.add_argument("--command", dest="route", required=True, choices=_MIN_ROUTES)
     sweep.add_argument("--columns", type=_parse_columns)
     verify = sub.add_parser("verify", help="cross-validation suite; exit 1 on failure")
     verify.add_argument("--tol", type=float, default=minima.DEFAULT_TOL)
     verify.add_argument("--samples", type=int, default=200_000)
     verify.add_argument("--seed", type=_parse_seed, default=0)
     verify.add_argument("--output", type=str)
+    verify.set_defaults(run=_run_verify)
     return parser
 
 
@@ -289,12 +291,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     buffer = io.StringIO()
     try:
-        if args.command == "verify":
-            code = _run_verify(args, buffer)
-        elif args.command == "sphere-mean":
-            code = _run_sphere_mean(args, buffer)
-        else:
-            code = _run_min_command(args, buffer)
+        code = args.run(args, buffer)
     except NonConvergentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENT
@@ -303,7 +300,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_HYPOTHESIS
     except ValueError as exc:
         # a value the library rejects: n < 1, tol outside (0, 1e-2],
-        # samples < 2, or a missing --dist
+        # samples < 2, a missing --dist, or an option sweep's route does not read
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
 

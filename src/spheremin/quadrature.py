@@ -133,7 +133,7 @@ def _integrate_mesh(g, bounds, loc_tol):
     while stack:
         a, b, tol = stack.pop()
         value, err = _integrate_panel(g, a, b)
-        if (err <= tol or err <= 4e-16 * abs(value) or (b - a) <= 1e-300
+        if (err <= tol or err <= 4e-16 * abs(value)
                 or len(values) + len(stack) + 2 > _MAX_LEAVES):
             values.append(value)
             errors.append(err)

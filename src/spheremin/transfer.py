@@ -137,6 +137,7 @@ def _sample_mean(
                 x[bad] = rng.standard_normal((int(np.sum(bad)), n))
                 norms = np.sqrt(_sum_squares(x))
             x /= norms[:, None]
+            del norms  # this and v are freed before the next block is drawn
         else:
             x *= root_half
         v = f.eval(x)
@@ -146,6 +147,7 @@ def _sample_mean(
                 f"returned shape {np.shape(v)}, expected one value per row")
         y = vals[:rows]
         y[:] = v
+        del v
         sums.append(float(np.sum(y)))
         y *= y
         sumsqs.append(float(np.sum(y)))

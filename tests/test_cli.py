@@ -109,6 +109,22 @@ class TestCommands:
             n, value, scaled = line.split(",")
             assert float(scaled) == pytest.approx((int(n) + 1) * float(value), rel=1e-15)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+    @pytest.mark.parametrize("command, flags", [
+        ("emin", ["--n-range", "1:20:5", "--tol", "1e-12"]),
+        ("nmin", ["--n-range", "1:1000:x10"]),
+        # rows that miss --tol: the warning line and exit 3
+        ("expected-min", ["--dist", "exponential:1e-8", "--n-range", "1:3:1"]),
+        ("asymptotic", ["--dist", "heavy-tail:2", "--n-range", "1:20:5"]),
+    ])
+    def test_sweep_is_its_route(self, command, flags, fmt, capsys):
+        flags = flags + ["--format", fmt]
+        direct = run([command] + flags, capsys)
+        swept = run(["sweep", "--command", command,
+                     "--columns", "n,value,error_bound,method"] + flags, capsys)
+        assert swept == direct
+        assert direct[0] == (EXIT_NONCONVERGENT if command == "expected-min" else EXIT_OK)
+
     def test_sphere_mean(self, capsys):
         code, out, _ = run(
             ["sphere-mean", "--fn", "sum-squares", "--n", "5",
@@ -179,6 +195,11 @@ class TestExitCodes:
         ["expected-min", "--n", "3", "--dist", "half-normal:3"],
         ["expected-min", "--n", "3", "--dist", "uniform01:abc"],
         ["sweep", "--command", "emin", "--n", "3", "--columns", ","],
+        # an option that sweep's route does not read
+        ["sweep", "--command", "emin", "--dist", "exponential:1", "--n", "3"],
+        ["sweep", "--command", "asymptotic", "--dist", "half-normal", "--n", "3",
+         "--tol", "1e-5"],
+        ["sweep", "--command", "emin", "--n", "3", "--tol", "0"],
     ])
     def test_bad_value_is_a_parse_error(self, argv, capsys):
         code, out, err = run(argv, capsys)

@@ -250,7 +250,7 @@ def test_memory_is_bounded_by_blocks(route, n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 2**20
+    assert peak <= 2.5 * 2**20
 
 
 @pytest.mark.parametrize("route", ROUTES.values(), ids=ROUTES)

@@ -10,6 +10,8 @@ the mass sits: 1/(n f(0)) when the density at 0 is positive, which leaves
 the integrand near e^-4 there, else 1/sqrt(n).  Either moves down by 4
 while n log S there is below _FIRST_PANEL_LOG_FLOOR: the G10/K21 error
 estimate of a first panel far wider than the mass can understate it.
+It stops at _MIN_WIDTH; if the integrand has underflowed even there, the
+panel [0, b_0] may miss the mass, and b_0 joins the tail bound.
 Survival is monotone, so the block [b, 4b] contributes at most
 3b * survival(b)^n.
 The tail bound rests on one premise: the ratio r of a block to the one
@@ -145,9 +147,10 @@ def _integrate_mesh(g, bounds, loc_tol):
 
 def _grid(dist: Distribution, n: int, budget: float):
     """Panel bounds 0, b_0, ..., y* on the boundaries b_k = w0 * 4^k, and a
-    certified bound on the integral beyond y*, by the rules of the module
-    docstring.  Raises NonConvergentError at the largest floats without a
-    tail bound."""
+    certified bound on the integral the panels cannot see: beyond y*, by
+    the rules of the module docstring, and below b_0 if the integrand has
+    underflowed there.  Raises NonConvergentError at the largest floats
+    without a tail bound."""
     f0 = dist.density_at_zero
     if f0 is not None and math.isfinite(f0) and f0 > 0.0:
         w0 = min(1.0, 4.0 / (n * f0 + 1.0))
@@ -163,7 +166,10 @@ def _grid(dist: Distribution, n: int, budget: float):
     while True:
         block = math.exp(arg + math.log(3.0 * b))  # >= the integral over [b, 4b]
         if block == 0.0 and math.exp(arg) == 0.0:
-            tail = 0.0  # the block bound and the integrand both underflow
+            # the block bound and the integrand both underflow; at b_0 (only
+            # at _MIN_WIDTH) the panel there may miss the mass of [0, b_0],
+            # which S^n <= 1 bounds by b_0
+            tail = b if b == bounds[1] else 0.0
             break
         r = block / prev if prev > 0.0 else 1.0  # no ratio at the first boundary
         tail = block / (1.0 - r) if r <= _TAIL_RATIO_CAP**2 else math.inf

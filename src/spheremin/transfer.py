@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, List, Tuple, Union
 
@@ -30,7 +31,9 @@ from .special import gamma_ratio
 
 SeedLike = Union[int, np.random.SeedSequence]
 
-_BLOCK_ELEMENTS = 2**16  # floats per block of rows drawn and summed at once
+# floats per block of rows drawn and summed at once: the two kernels of a
+# transfer check, running together, hold what one 2^16 block held
+_BLOCK_ELEMENTS = 2**15
 _FOLD_BELOW = 8  # numpy adds a row of fewer coordinates in order
 
 
@@ -41,7 +44,9 @@ class HomogeneousFunction:
 
     The Monte Carlo routes call eval on (rows, n) blocks of one reused
     buffer and expect one value per row; eval must not keep a reference
-    to a block, whose contents the next draw overwrites."""
+    to a block, whose contents the next draw overwrites.
+    transfer_identity_check calls eval from two threads at once, so it
+    must be thread-safe; the built-ins, pure numpy, are."""
 
     name: str
     degree: int
@@ -180,11 +185,34 @@ def sphere_mean_direct(
 def transfer_identity_check(
     f: HomogeneousFunction, n: int, samples: int, seed: SeedLike
 ) -> TransferReport:
-    """Compare the two Monte Carlo routes; agreement means |z| <= 4."""
+    """Compare the two Monte Carlo routes; agreement means |z| <= 4.
+
+    The Gaussian route runs on a worker thread while the direct route
+    runs in the caller.  Each has its own spawned seed, so the report is
+    the one the two routes give called one after the other.  An error of
+    either route is raised here, the Gaussian one first if both fail."""
+    _check_int("n", n)
+    _check_int("samples", samples, 2)
+    gamma_ratio(n, f.degree)  # a bad input raises before any eval
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     gauss_seed, sphere_seed = root.spawn(2)
-    g = sphere_mean_from_gaussian(f, n, samples, gauss_seed)
-    s = sphere_mean_direct(f, n, samples, sphere_seed)
+    gauss: list = []  # the worker's Estimate or exception
+
+    def gaussian_route():
+        try:
+            gauss.append(sphere_mean_from_gaussian(f, n, samples, gauss_seed))
+        except BaseException as exc:
+            gauss.append(exc)
+
+    worker = threading.Thread(target=gaussian_route, name="spheremin-gaussian-route")
+    worker.start()
+    try:
+        s = sphere_mean_direct(f, n, samples, sphere_seed)
+    finally:
+        worker.join()
+        if isinstance(gauss[0], BaseException):
+            raise gauss.pop()  # popped, so no frame of this call keeps it
+    g = gauss[0]
     spread = math.hypot(g.std_error, s.std_error)
     diff = abs(g.point - s.point)
     if spread > 0.0:

@@ -192,6 +192,18 @@ def _log_block_ratios(dist, n, w0):
         b *= 4.0
 
 
+def test_underflow_at_the_least_first_width_is_not_converged():
+    # the mean 1/(n rate) = 1e-315 sits below _MIN_WIDTH = 2^-1022, where the
+    # integrand has already underflowed: all 21 nodes of the one panel read 0,
+    # so only the first width itself bounds what the panel missed
+    counted, calls = _counting(exponential(1e300))
+    res = survival_power_integral(counted, 10**15, 1e-320)
+    assert res.value == 0.0
+    assert res.converged is False
+    assert res.error_bound >= 1e-315
+    assert len(calls) == 22  # the first boundary and one panel, as before
+
+
 @settings(max_examples=200, deadline=None)
 @given(family=st.sampled_from(["exponential", "uniform01", "power_law", "heavy_tail", "half_normal"]),
        param=st.floats(min_value=0.0, max_value=1.0),

@@ -1,9 +1,11 @@
 """Sphere/Gaussian transfer: homogeneity of the built-ins, exactness of the
 degree-2 gamma identity, agreement of both Monte Carlo routes with
-closed-form oracles, seed reproducibility, and the sampling kernel's
-pinned bits, memory bound and checks."""
+closed-form oracles, seed reproducibility, the sampling kernel's pinned
+bits, memory bound and checks, and the two-thread transfer check."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -152,12 +154,13 @@ def test_emin_agrees_with_direct_mc():
 
 ROUTES = {r.__name__: r for r in (sphere_mean_from_gaussian, sphere_mean_direct)}
 
-# Estimates recorded bit for bit from the block-summing kernel: min-abs at
-# n=2 spans 61 full blocks and ends in a partial one of 2152 rows, sum-abs
-# at n=1000 ends in a partial block of 5 rows after 63 of 65, and
-# sum-squares at n=7 folds its columns.  The Gaussian rows pin the kernel's
-# (mean, se) before the gamma factor, which test_special checks against
-# mpmath on its own.
+# Estimates recorded bit for bit from the block-summing kernel, which
+# _loop_reference recomputes: min-abs at n=2 spans 122 full blocks of 16384
+# rows and ends in a partial one of 2152, sum-abs at n=1000 ends in a
+# partial block of 4 rows after 128 of 32, and sum-squares at n=7 folds its
+# columns over one block of 4681 rows and one of 319.  The Gaussian rows pin
+# the kernel's (mean, se) before the gamma factor, which test_special checks
+# against mpmath on its own.
 PINNED = [
     ("min-abs", 2, 2_001_000, 2024, "sphere_mean_from_gaussian",
      "0x1.522efcfd171b2p-2", "0x1.8eef383535e26p-13"),
@@ -166,12 +169,26 @@ PINNED = [
     ("sum-abs", 1000, 4_100, 2025, "sphere_mean_from_gaussian",
      "0x1.1a4b89fedbca2p+9", "0x1.ae2261df8477bp-3"),
     ("sum-abs", 1000, 4_100, 2025, "sphere_mean_direct",
-     "0x1.93e05e21d811ep+4", "0x1.b2337ac0b9f1bp-9"),
+     "0x1.93e05e21d811ep+4", "0x1.b2337ac0bc4c7p-9"),
     ("sum-squares", 7, 5_000, 2026, "sphere_mean_from_gaussian",
-     "0x1.bed0ecf9c3622p+1", "0x1.a995c43b40e8ap-6"),
+     "0x1.bed0ecf9c3620p+1", "0x1.a995c43b40e91p-6"),
     ("sum-squares", 7, 5_000, 2026, "sphere_mean_direct",
      "0x1.0000000000000p+0", "0x0.0p+0"),
 ]
+
+
+def _loop_reference(f, n, samples, seed, normalise):
+    """The kernel's (mean, se), drawn in one call and summed by np.sum over
+    groups of 2^15 // n rows, the group sums added by math.fsum."""
+    x = np.random.default_rng(seed).standard_normal((samples, n))
+    x = x / np.linalg.norm(x, axis=1)[:, None] if normalise else x * math.sqrt(0.5)
+    v = np.asarray(f.eval(x), dtype=np.float64)
+    group = max(1, 2**15 // n)
+    total = math.fsum(float(np.sum(v[i:i + group])) for i in range(0, samples, group))
+    total_sq = math.fsum(float(np.sum(v[i:i + group] ** 2)) for i in range(0, samples, group))
+    mean = total / samples
+    var = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
+    return mean, math.sqrt(var / samples)
 
 
 @pytest.mark.parametrize("name, n, samples, seed, route, point, std_error", PINNED)
@@ -179,11 +196,13 @@ def test_estimates_are_pinned(name, n, samples, seed, route, point, std_error):
     f = builtin_function(name)
     est = ROUTES[route](f, n, samples, seed)
     bits = (est.point, est.std_error)
-    if route == "sphere_mean_from_gaussian":
+    gaussian = route == "sphere_mean_from_gaussian"
+    if gaussian:
         mean, se = transfer._sample_mean(f, n, samples, seed, normalise=False)
         factor = gamma_ratio(n, f.degree)
         assert bits == (factor * mean, factor * se)
         bits = (mean, se)
+    assert bits == _loop_reference(f, n, samples, seed, normalise=not gaussian)
     assert (bits[0].hex(), bits[1].hex(), est.samples) == (point, std_error, samples)
 
 
@@ -217,16 +236,22 @@ def test_norm_matches_linalg(n):
     assert _same_bits(np.sqrt(transfer._sum_squares(x)), np.linalg.norm(x, axis=1))
 
 
-@pytest.mark.parametrize("route", ROUTES.values(), ids=ROUTES)
+CALLERS = {**ROUTES, "transfer_identity_check": transfer_identity_check}
+
+
+@pytest.mark.parametrize("route", CALLERS.values(), ids=CALLERS)
 @pytest.mark.parametrize("bad_eval", [
     lambda x: 1.0,
     lambda x: x,
     lambda x: np.abs(x[:-1, 0]),
 ], ids=["scalar", "block", "short"])
 def test_eval_must_return_one_value_per_row(route, bad_eval):
+    # the transfer check raises its worker's error in the caller
     f = HomogeneousFunction("bad-shape", 1, bad_eval)
+    threads = threading.active_count()
     with pytest.raises(ValueError, match="bad-shape"):
         route(f, 3, 100, 0)
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("degree", [-1, 1.5])
@@ -237,12 +262,22 @@ def test_bad_degree_is_rejected_before_sampling(degree):
     f = HomogeneousFunction("bad-degree", degree, never)
     with pytest.raises(ValueError, match="d must be"):
         sphere_mean_from_gaussian(f, 3, 100, 0)
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="d must be"):
+        transfer_identity_check(f, 3, 100, 0)
+    assert threading.active_count() == threads
 
 
-@pytest.mark.parametrize("route", ROUTES.values(), ids=ROUTES)
+# a single route holds one block; the transfer check runs two at once
+MEMORY_BOUNDS = {sphere_mean_from_gaussian: 1.25, sphere_mean_direct: 1.25,
+                 transfer_identity_check: 2.5}
+
+
+@pytest.mark.parametrize("route", MEMORY_BOUNDS, ids=lambda r: r.__name__)
 @pytest.mark.parametrize("n", [1, 2, 1000])
 def test_memory_is_bounded_by_blocks(route, n):
-    # 4M coordinates, whose f-values alone would take 32 MB at n=1
+    # 4M coordinates, whose f-values alone would take 32 MB at n=1;
+    # tracemalloc traces the allocations of every thread
     f = builtin_function("min-abs")
     tracemalloc.start()
     try:
@@ -250,7 +285,7 @@ def test_memory_is_bounded_by_blocks(route, n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * 2**20
+    assert peak <= MEMORY_BOUNDS[route] * 2**20
 
 
 @pytest.mark.parametrize("route", ROUTES.values(), ids=ROUTES)
@@ -303,3 +338,78 @@ def test_zero_norm_row_is_redrawn(monkeypatch):
     est = sphere_mean_direct(builtin_function("sum-squares"), 3, 1000, 0)
     assert est.point == 1.0
     assert all(s.zeroed and s.redraws == 1 for s in stubs)
+
+
+def _serial_check(f, n, samples, seed):
+    """The two estimates of transfer_identity_check, one route after the
+    other on the calling thread."""
+    gauss_seed, sphere_seed = np.random.SeedSequence(seed).spawn(2)
+    return (sphere_mean_from_gaussian(f, n, samples, gauss_seed),
+            sphere_mean_direct(f, n, samples, sphere_seed))
+
+
+class TestConcurrentCheck:
+    @pytest.mark.parametrize("name, n", [("min-abs", 2), ("sum-squares", 7), ("max-abs", 40),
+                                         ("abs-first", 1000)])
+    def test_report_is_the_serial_one(self, name, n):
+        f = builtin_function(name)
+        threads = threading.active_count()
+        rep = transfer_identity_check(f, n, 70_000, 17)
+        assert threading.active_count() == threads
+        assert (rep.gaussian_side, rep.sphere_side) == _serial_check(f, n, 70_000, 17)
+
+    @pytest.mark.parametrize("failing", [{"gaussian"}, {"direct"}, {"gaussian", "direct"}],
+                             ids=["gaussian", "direct", "both"])
+    def test_route_errors_are_raised_gaussian_first(self, failing):
+        # the direct route's rows lie on the unit sphere, the Gaussian ones do not
+        def eval_(x):
+            route = "direct" if np.allclose(np.sum(x * x, axis=-1), 1.0) else "gaussian"
+            if route in failing:
+                raise RuntimeError(route)
+            return np.abs(x[..., 0])
+
+        f = HomogeneousFunction("failing", 1, eval_)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="gaussian" if "gaussian" in failing else "direct"):
+            transfer_identity_check(f, 3, 100, 0)
+        assert threading.active_count() == threads
+
+    def test_rejects_bad_args_before_starting_a_thread(self):
+        f = HomogeneousFunction("never", 1, lambda x: pytest.fail("eval called"))
+        threads = threading.active_count()
+        with pytest.raises(ValueError):
+            transfer_identity_check(f, 0, 100, 0)
+        with pytest.raises(ValueError):
+            transfer_identity_check(f, 2, 1, 0)
+        assert threading.active_count() == threads
+
+    def test_callers_on_more_threads_than_cores(self):
+        # four callers, each with its worker, switched every microsecond
+        cases = [("min-abs", 2, 20_000, 3), ("sum-abs", 9, 5_000, 4),
+                 ("sum-squares", 7, 8_000, 5), ("max-abs", 40, 1_000, 6)]
+        serial = {c: _serial_check(builtin_function(c[0]), *c[1:]) for c in cases}
+        got, errors = {}, []
+
+        def call(case):
+            try:
+                for _ in range(3):
+                    rep = transfer_identity_check(builtin_function(case[0]), *case[1:])
+                    got.setdefault(case, []).append((rep.gaussian_side, rep.sphere_side))
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(c,)) for c in cases]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60.0)
+                assert not t.is_alive(), "a transfer check did not finish"
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert got == {c: [serial[c]] * 3 for c in cases}
+        assert threading.active_count() == threads

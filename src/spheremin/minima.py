@@ -58,7 +58,9 @@ def asymptotic_min(dist: Distribution, n: int) -> MinResult:
             f"{dist.name}: asymptotic minimum needs a finite nonvanishing "
             f"density at 0, but f(0+) is {'undefined' if f0 is None else f0}",
         )
-    return MinResult(n, 1.0 / (f0 * (n + 1)), "asymptotic")
+    scale = f0 * (n + 1)
+    value = 1.0 / scale if math.isfinite(scale) else 1.0 / (n + 1) / f0
+    return MinResult(n, value, "asymptotic")
 
 
 def emin_asymptotic(n: int) -> MinResult:

@@ -10,9 +10,9 @@ the left directly via normalized Gaussian vectors (uniform on the
 sphere).  Both routes share one sampling kernel, and estimates are
 bitwise-reproducible for a fixed seed.
 
-Rows are drawn in blocks of about _BLOCK_ELEMENTS coordinates into one
-reused buffer, and each block's f-values are added by one np.sum and the
-block sums by math.fsum, so the block size bounds an estimate's memory
+Rows are drawn in blocks of max(_BLOCK_ELEMENTS, n) coordinates into one
+reused buffer; each block's float64 f-values are added by one np.sum and
+the block sums by math.fsum, so the block bounds an estimate's memory
 and, as part of the seed-reproducibility contract, fixes its bits.
 """
 
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, List, Tuple, Union
 
@@ -43,10 +42,11 @@ class HomogeneousFunction:
     the leading axes of an (..., n) array.
 
     The Monte Carlo routes call eval on (rows, n) blocks of one reused
-    buffer and expect one value per row; eval must not keep a reference
-    to a block, whose contents the next draw overwrites.
-    transfer_identity_check calls eval from two threads at once, so it
-    must be thread-safe; the built-ins, pure numpy, are."""
+    buffer and sum eval's one value per row as float64, with no staging
+    buffer; eval must not keep a reference to a block, which the next
+    draw overwrites.  transfer_identity_check also calls eval on a
+    one-worker concurrent.futures pool, so it must be thread-safe; the
+    built-ins, pure numpy, are."""
 
     name: str
     degree: int
@@ -128,7 +128,6 @@ def _sample_mean(
     rng = np.random.default_rng(seed)
     block_rows = max(1, _BLOCK_ELEMENTS // n)
     block = np.empty((min(block_rows, samples), n))
-    vals = np.empty(len(block))  # float64 whatever eval's dtype
     root_half = math.sqrt(0.5)
     sums, sumsqs = [], []
     for lo in range(0, samples, block_rows):
@@ -145,17 +144,14 @@ def _sample_mean(
             del norms  # this and v are freed before the next block is drawn
         else:
             x *= root_half
-        v = f.eval(x)
-        if np.shape(v) != (rows,):
+        v = np.asarray(f.eval(x), dtype=np.float64)
+        if v.shape != (rows,):
             raise ValueError(
                 f"function {f.name!r}: eval of a ({rows}, {n}) block "
-                f"returned shape {np.shape(v)}, expected one value per row")
-        y = vals[:rows]
-        y[:] = v
+                f"returned shape {v.shape}, expected one value per row")
+        sums.append(float(np.sum(v)))
+        sumsqs.append(float(np.sum(v * v)))
         del v
-        sums.append(float(np.sum(y)))
-        y *= y
-        sumsqs.append(float(np.sum(y)))
     total = math.fsum(sums)
     total_sq = math.fsum(sumsqs)
     mean = total / samples
@@ -187,32 +183,25 @@ def transfer_identity_check(
 ) -> TransferReport:
     """Compare the two Monte Carlo routes; agreement means |z| <= 4.
 
-    The Gaussian route runs on a worker thread while the direct route
-    runs in the caller.  Each has its own spawned seed, so the report is
-    the one the two routes give called one after the other.  An error of
-    either route is raised here, the Gaussian one first if both fail."""
+    The Gaussian route runs on a one-worker concurrent.futures pool while
+    the direct route runs in the caller.  Each has its own spawned seed,
+    so the report is the one the two routes give one after the other.
+    An error of either route is raised here, the Gaussian one if both fail."""
+    from concurrent.futures import ThreadPoolExecutor  # deferred: loads logging
     _check_int("n", n)
     _check_int("samples", samples, 2)
     gamma_ratio(n, f.degree)  # a bad input raises before any eval
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     gauss_seed, sphere_seed = root.spawn(2)
-    gauss: list = []  # the worker's Estimate or exception
-
-    def gaussian_route():
+    with ThreadPoolExecutor(1, thread_name_prefix="spheremin-gaussian-route") as pool:
+        gauss = pool.submit(sphere_mean_from_gaussian, f, n, samples, gauss_seed)
         try:
-            gauss.append(sphere_mean_from_gaussian(f, n, samples, gauss_seed))
-        except BaseException as exc:
-            gauss.append(exc)
-
-    worker = threading.Thread(target=gaussian_route, name="spheremin-gaussian-route")
-    worker.start()
-    try:
-        s = sphere_mean_direct(f, n, samples, sphere_seed)
-    finally:
-        worker.join()
-        if isinstance(gauss[0], BaseException):
-            raise gauss.pop()  # popped, so no frame of this call keeps it
-    g = gauss[0]
+            s = sphere_mean_direct(f, n, samples, sphere_seed)
+        finally:
+            try:
+                g = gauss.result()  # raises the Gaussian error, if any, first
+            finally:
+                del gauss  # a raised error's traceback would hold it in a cycle
     spread = math.hypot(g.std_error, s.std_error)
     diff = abs(g.point - s.point)
     if spread > 0.0:

@@ -170,6 +170,14 @@ class TestAsymptoticMin:
             q = expected_min(exponential(1.0), n).value
             assert a / q == pytest.approx(n / (n + 1), rel=1e-8)
 
+    def test_large_density_times_n_does_not_overflow(self):
+        # f(0)(n+1) overflows to inf, where 1/(f(0)(n+1)) would read 0.0
+        n = 10**9
+        a = asymptotic_min(exponential(1e300), n).value
+        q = expected_min(exponential(1e300), n)
+        assert q.converged
+        assert abs(a / q.value - 1.0) <= 2.0 / (n + 1)
+
     def test_ratio_converges_half_normal(self):
         n = 1000
         ratio = asymptotic_min(half_normal(), n).value / nmin(n, 1e-12).value

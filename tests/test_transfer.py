@@ -3,10 +3,12 @@ degree-2 gamma identity, agreement of both Monte Carlo routes with
 closed-form oracles, seed reproducibility, the sampling kernel's pinned
 bits, memory bound and checks, and the two-thread transfer check."""
 
+import gc
 import math
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -274,10 +276,11 @@ MEMORY_BOUNDS = {sphere_mean_from_gaussian: 1.25, sphere_mean_direct: 1.25,
 
 
 @pytest.mark.parametrize("route", MEMORY_BOUNDS, ids=lambda r: r.__name__)
-@pytest.mark.parametrize("n", [1, 2, 1000])
+@pytest.mark.parametrize("n", [1, 2, 1000, 2**17])
 def test_memory_is_bounded_by_blocks(route, n):
     # 4M coordinates, whose f-values alone would take 32 MB at n=1;
-    # tracemalloc traces the allocations of every thread
+    # tracemalloc traces the allocations of every thread.  A block holds
+    # max(2^15, n) coordinates, so past n = 2^15 the bound grows with n
     f = builtin_function("min-abs")
     tracemalloc.start()
     try:
@@ -285,7 +288,7 @@ def test_memory_is_bounded_by_blocks(route, n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= MEMORY_BOUNDS[route] * 2**20
+    assert peak <= MEMORY_BOUNDS[route] * max(1, n / 2**15) * 2**20
 
 
 @pytest.mark.parametrize("route", ROUTES.values(), ids=ROUTES)
@@ -348,6 +351,32 @@ def _serial_check(f, n, samples, seed):
             sphere_mean_direct(f, n, samples, sphere_seed))
 
 
+class _RouteError(RuntimeError):
+    """A route's error; unlike RuntimeError, it takes a weak reference."""
+
+
+def _failing_eval(failing):
+    """An eval that raises _RouteError(route) on the routes in failing."""
+    def eval_(x):
+        # the direct route's rows lie on the unit sphere, the Gaussian ones do not
+        route = "direct" if np.allclose(np.sum(x * x, axis=-1), 1.0) else "gaussian"
+        if route in failing:
+            raise _RouteError(route)
+        return np.abs(x[..., 0])
+    return eval_
+
+
+def _raised_error_ref(f):
+    """A weak reference to the error that transfer_identity_check raises,
+    taken here so that no frame of the test itself holds the error."""
+    try:
+        transfer_identity_check(f, 3, 100, 0)
+    except _RouteError as exc:
+        assert exc.args == ("gaussian",)
+        return weakref.ref(exc)
+    raise AssertionError("transfer_identity_check did not raise")
+
+
 class TestConcurrentCheck:
     @pytest.mark.parametrize("name, n", [("min-abs", 2), ("sum-squares", 7), ("max-abs", 40),
                                          ("abs-first", 1000)])
@@ -373,6 +402,21 @@ class TestConcurrentCheck:
         with pytest.raises(RuntimeError, match="gaussian" if "gaussian" in failing else "direct"):
             transfer_identity_check(f, 3, 100, 0)
         assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("failing", [{"gaussian"}, {"gaussian", "direct"}],
+                             ids=["gaussian", "both"])
+    def test_raised_error_is_freed_without_the_collector(self, failing):
+        # a cycle through the raised error's traceback would keep it, and
+        # every frame it holds, alive until the cyclic collector runs
+        f = HomogeneousFunction("failing", 1, _failing_eval(failing))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            ref = _raised_error_ref(f)
+            assert ref() is None, "the raised error outlived its except clause"
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_rejects_bad_args_before_starting_a_thread(self):
         f = HomogeneousFunction("never", 1, lambda x: pytest.fail("eval called"))

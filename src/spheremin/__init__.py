@@ -28,16 +28,39 @@ from .minima import (
 )
 from .quadrature import survival_power_integral
 from .special import gamma_ratio, log_erfc
-from .transfer import (
-    Estimate,
-    HomogeneousFunction,
-    TransferReport,
-    builtin_function,
-    builtin_functions,
-    sphere_mean_direct,
-    sphere_mean_from_gaussian,
-    transfer_identity_check,
-)
+
+# The Monte Carlo names of transfer, the one module that needs numpy; they
+# and the submodule itself are imported on first use (PEP 562), so that the
+# quadrature routes and the min commands of the CLI never load numpy.
+_TRANSFER_NAMES = frozenset({
+    "Estimate",
+    "HomogeneousFunction",
+    "TransferReport",
+    "builtin_function",
+    "builtin_functions",
+    "sphere_mean_direct",
+    "sphere_mean_from_gaussian",
+    "transfer_identity_check",
+})
+
+
+def __getattr__(name):
+    if name == "transfer" or name in _TRANSFER_NAMES:
+        # import_module, since `from . import transfer` would look the name
+        # up on this package first and so call back into this hook
+        from importlib import import_module
+
+        transfer = import_module(".transfer", __name__)
+        if name == "transfer":
+            return transfer
+        value = globals()[name] = getattr(transfer, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _TRANSFER_NAMES)
+
 
 __all__ = [
     "DEFAULT_TOL",

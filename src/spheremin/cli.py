@@ -8,6 +8,10 @@ json, or an aligned table); diagnostics go to stderr.  Exit codes: 0 ok,
 1 verify failure, 2 parse error, 3 nonconvergent integral (or rows written
 whose error bound is above --tol, with one warning line), 4 violated
 asymptotic hypothesis.
+
+Only sphere-mean and verify run Monte Carlo: they import transfer, and
+numpy with it, when they run, so the min commands and sweep start
+without numpy.
 """
 
 from __future__ import annotations
@@ -19,10 +23,8 @@ import math
 import sys
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from . import distributions as dists
-from . import minima, transfer
+from . import minima
 from .distributions import Distribution
 from .errors import HypothesisViolatedError, NonConvergentError
 from .special import SQRT_PI, gamma_ratio
@@ -84,6 +86,9 @@ def parse_n_range(spec: str) -> List[int]:
 
 
 SWEEP_COLUMNS = ("n", "value", "error_bound", "method", "scaled")
+# the names of transfer.builtin_functions(), in its order, spelled out so
+# that building the parser does not import transfer
+_FN_NAMES = ("min-abs", "max-abs", "sum-abs", "sum-squares", "abs-first")
 
 # The route table of the min commands: help text, the options each reads
 # (of _MIN_OPTIONS, all None unless given), and its minima call, looked up on
@@ -171,6 +176,10 @@ def _run_min(args: argparse.Namespace, out: io.TextIOBase) -> int:
 
 
 def _run_sphere_mean(args: argparse.Namespace, out: io.TextIOBase) -> int:
+    import numpy as np
+
+    from . import transfer
+
     f = transfer.builtin_function(args.fn)
     ns = args.n_range or [args.n]
     rows = []
@@ -191,6 +200,10 @@ def _run_verify(args: argparse.Namespace, out: io.TextIOBase) -> int:
     """Cross-validation suite: quadrature vs closed forms, the gamma-route
     sphere value vs direct sphere Monte Carlo, and the transfer identity
     for every built-in function."""
+    import numpy as np
+
+    from . import transfer
+
     checks = []
 
     def check(name: str, ok: bool, detail: str, converged: bool = True) -> None:
@@ -265,8 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (help_text, reads, _) in _MIN_ROUTES.items():
         min_command(name, help_text, reads).set_defaults(route=name)
     mean = common(sub.add_parser("sphere-mean", help="direct Monte Carlo sphere mean"))
-    mean.add_argument("--fn", choices=[f.name for f in transfer.builtin_functions()],
-                      default="min-abs")
+    mean.add_argument("--fn", choices=_FN_NAMES, default="min-abs")
     mean.add_argument("--samples", type=int, default=1_000_000)
     mean.add_argument("--seed", type=_parse_seed, default=0)
     mean.set_defaults(run=_run_sphere_mean)

@@ -10,10 +10,11 @@ the left directly via normalized Gaussian vectors (uniform on the
 sphere).  Both routes share one sampling kernel, and estimates are
 bitwise-reproducible for a fixed seed.
 
-Rows are drawn in blocks of max(_BLOCK_ELEMENTS, n) coordinates into one
-reused buffer; each block's float64 f-values are added by one np.sum and
-the block sums by math.fsum, so the block bounds an estimate's memory
-and, as part of the seed-reproducibility contract, fixes its bits.
+Rows are drawn in blocks of max(1, _BLOCK_ELEMENTS // n) rows, at most
+max(_BLOCK_ELEMENTS, n) coordinates, into one reused buffer; each block's
+float64 f-values are added by one np.sum and the block sums by
+math.fsum, so the block bounds an estimate's memory and, as part of the
+seed-reproducibility contract, fixes its bits.
 """
 
 from __future__ import annotations

@@ -72,6 +72,20 @@ class TestEmin:
             scaled = float((n + 1) * mp.mpf(emin(n).value) / factor)
         assert abs(scaled - SQRT_PI_HALF) <= 1.5 / n**2 + 8 * EPS
 
+    def test_million_against_mpmath_integral(self):
+        # a 30-digit oracle: the integral of erfc(y)^n, split at y = 10^k/n,
+        # where the integrand is e^-1.1, e^-11, e^-113 and e^-1129 (it stops
+        # at the last), times the exact gamma factor
+        n = 10**6
+        with mp.workdps(30):
+            points = [mp.mpf(0)] + [mp.mpf(10)**k / n for k in range(4)]
+            integral = mp.quad(lambda y: mp.erfc(y)**n, points)
+            oracle = integral * mp.gamma(mp.mpf(n) / 2) / mp.gamma(mp.mpf(n + 1) / 2)
+            r = emin(n)
+            error = abs(mp.mpf(r.value) - oracle)
+        assert r.converged
+        assert error <= r.error_bound + 8 * math.ulp(r.value)
+
     def test_gamma_relation(self):
         # Gamma((n+1)/2) * emin(n) = Gamma(n/2) * nmin(n), via lgamma
         for n in range(1, 51):

@@ -22,12 +22,16 @@ _TAIL_RATIO_CAP**2, the integral beyond b is at most block / (1 - r).
 
 The grid is walked once.  The walk stops at the first boundary whose tail
 fits half the tolerance, but not below 1 unless the block and the
-integrand both underflow there; that boundary is the truncation point y*,
-which a bounded support clips.  A walk that reaches the largest floats
-stops there if it has a tail bound, which then misses the tolerance, and
-otherwise raises NonConvergentError: its blocks show too little decay (for
-the heavy tail, exactly when n * alpha <= 1.074), so the expected minimum
-is divergent or nearly so.
+integrand both underflow there, or the tail is below _NEGLIGIBLE_TAIL of
+b_0 S(b_0)^n, which bounds the value from below since S is monotone.  At
+large n that ends the walk a few boundaries past the mass, not where the
+integrand underflows; the clause y >= 1 keeps a value below the absolute
+tolerance accurate relative to itself.  That boundary is the truncation
+point y*, which a bounded support clips.  A walk that reaches the largest
+floats stops there if it has a tail bound, which then misses the
+tolerance, and otherwise raises NonConvergentError: its blocks show too
+little decay (for the heavy tail, exactly when n * alpha <= 1.074), so the
+expected minimum is divergent or nearly so.
 
 The panels between consecutive boundaries up to y* are integrated by
 QUADPACK's 10/21-point Gauss-Kronrod pair (qk21): 21 evaluations give the
@@ -99,6 +103,8 @@ _MAX_LEAVES = 1000
 _MIN_WIDTH = 2.0**-1022
 # a first panel far wider than the mass lets G10/K21 understate its error
 _FIRST_PANEL_LOG_FLOOR = -8.0
+# a tail this far below a lower bound on the value cannot move its rounding
+_NEGLIGIBLE_TAIL = 2.0**-60
 
 
 @dataclass(frozen=True)
@@ -151,8 +157,10 @@ def _grid(dist: Distribution, n: int, budget: float):
     """Panel bounds 0, b_0, ..., y* on the boundaries b_k = w0 * 4^k, and a
     certified bound on the integral the panels cannot see: beyond y*, by
     the rules of the module docstring, and below b_0 if the integrand has
-    underflowed there.  Raises NonConvergentError at the largest floats
-    without a tail bound."""
+    underflowed there.  The walk stops at y* once the tail fits ``budget``
+    and y* >= 1 or the tail is negligible beside b_0 S(b_0)^n, or once the
+    block and the integrand underflow.  Raises NonConvergentError at the
+    largest floats without a tail bound."""
     f0 = dist.density_at_zero
     if f0 is not None and math.isfinite(f0) and f0 > 0.0:
         w0 = min(1.0, 4.0 / (n * f0 + 1.0))
@@ -164,6 +172,8 @@ def _grid(dist: Distribution, n: int, budget: float):
         b = max(0.25 * b, _MIN_WIDTH)
         arg = n * dist.log_survival(b)
     bounds = [0.0, b]
+    # S is monotone, so b_0 S(b_0)^n <= the integral over [0, b_0] <= the value
+    negligible = _NEGLIGIBLE_TAIL * b * math.exp(arg)
     prev = 0.0  # the block at the boundary before b
     while True:
         block = math.exp(arg + math.log(3.0 * b))  # >= the integral over [b, 4b]
@@ -176,7 +186,7 @@ def _grid(dist: Distribution, n: int, budget: float):
         r = block / prev if prev > 0.0 else 1.0  # no ratio at the first boundary
         tail = block / (1.0 - r) if r <= _TAIL_RATIO_CAP**2 else math.inf
         last = b > sys.float_info.max / 4.0
-        if (tail <= budget and b >= 1.0) or (last and tail < math.inf):
+        if (tail <= budget and (b >= 1.0 or tail <= negligible)) or (last and tail < math.inf):
             break
         if last:
             raise NonConvergentError(

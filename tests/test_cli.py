@@ -1,6 +1,7 @@
 """CLI contract: subcommands, n-range syntax, output formats, exit codes,
 and byte-level reproducibility."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -247,6 +248,23 @@ class TestReproducibilityAndRoundTrip:
         assert code == EXIT_OK
         assert out == ""
         assert target.read_text().startswith("n,value")
+
+
+class TestPinnedOutput:
+    # the emin sweep's stdout and nmin's bits at large n, frozen: a change
+    # to the quadrature that moves them changes the output contract
+
+    def test_emin_sweep_digest(self, capsys):
+        code, out, _ = run(["sweep", "--command", "emin", "--n-range", "1:1000:1",
+                            "--format", "csv"], capsys)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f8f52513af299e9af2e7ea1801b422ad4ee6220bca29fe6691c0529fc99f3393")
+
+    @pytest.mark.parametrize("k,bits", [(3, "0x1.d02cb8bbfda7fp-11"), (6, "0x1.dbc9fab81147dp-21"),
+                                        (9, "0x1.e73559fa5ad0ep-31"), (12, "0x1.f2e6c291f0ea0p-41")])
+    def test_nmin_value_bits(self, k, bits):
+        assert nmin(10**k, 1e-10).value.hex() == bits
 
 
 class TestVerify:

@@ -48,6 +48,15 @@ class TestNmin:
         residual = abs((n + 1) * nmin(n).value - SQRT_PI_HALF)
         assert residual <= 1.5 / n**2 + 4 * math.ulp(SQRT_PI_HALF)
 
+    def test_truncation_point_sits_near_the_mass(self):
+        # the mass lies within a few multiples of 1/(f(0) n) = 8.9e-7, and
+        # the walk stops at 64 of them, once the tail is negligible beside
+        # the value, long before the integrand underflows
+        n = 10**6
+        y_star = nmin(n).truncation_point
+        assert y_star < 1.0
+        assert n * y_star <= 100.0
+
 
 class TestEmin:
     def test_n1_exact(self):
@@ -103,8 +112,9 @@ class TestExpectedMin:
 
     @pytest.mark.parametrize("k", range(16))
     def test_exponential_large_n(self, k):
-        # the truncation point stays where the integrand has underflowed or
-        # at y >= 1, never at a boundary where the tail still fits the budget
+        # the walk stops where its tail fits the budget only at y >= 1, where
+        # the integrand has underflowed, or where the tail is below 2^-60 of
+        # the value; never at a boundary where the tail still fits the budget
         # but carries 1.8% of the value (n = 10^10)
         n = 10**k
         assert abs(n * expected_min(exponential(1.0), n).value - 1.0) <= 4 * math.ulp(1.0)

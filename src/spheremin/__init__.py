@@ -22,30 +22,18 @@ from .minima import (
     MinResult,
     asymptotic_min,
     emin,
-    emin_asymptotic,
     expected_min,
     nmin,
 )
-from .quadrature import survival_power_integral
 from .special import gamma_ratio, log_erfc
 
-# The Monte Carlo names of transfer, the one module that needs numpy; they
-# and the submodule itself are imported on first use (PEP 562), so that the
-# quadrature routes and the min commands of the CLI never load numpy.
-_TRANSFER_NAMES = frozenset({
-    "Estimate",
-    "HomogeneousFunction",
-    "TransferReport",
-    "builtin_function",
-    "builtin_functions",
-    "sphere_mean_direct",
-    "sphere_mean_from_gaussian",
-    "transfer_identity_check",
-})
 
-
+# The names of __all__ not bound above are the Monte Carlo names of transfer,
+# the one module that needs numpy; they and the submodule itself are imported
+# on first use (PEP 562), so that the quadrature routes and the min commands
+# of the CLI never load numpy.
 def __getattr__(name):
-    if name == "transfer" or name in _TRANSFER_NAMES:
+    if name == "transfer" or name in __all__:
         # import_module, since `from . import transfer` would look the name
         # up on this package first and so call back into this hook
         from importlib import import_module
@@ -59,7 +47,7 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted(set(globals()) | _TRANSFER_NAMES)
+    return sorted(set(globals()) | set(__all__))
 
 
 __all__ = [
@@ -77,7 +65,6 @@ __all__ = [
     "builtin_function",
     "builtin_functions",
     "emin",
-    "emin_asymptotic",
     "expected_min",
     "exponential",
     "gamma_ratio",
@@ -88,7 +75,6 @@ __all__ = [
     "power_law",
     "sphere_mean_direct",
     "sphere_mean_from_gaussian",
-    "survival_power_integral",
     "transfer_identity_check",
     "uniform01",
 ]

@@ -73,7 +73,7 @@ def parse_n_range(spec: str) -> List[int]:
         start, stop = int(parts[0]), int(parts[1])
         step_spec = parts[2]
         multiplicative = step_spec.startswith("x")
-        step = int(step_spec[1:]) if multiplicative else int(step_spec.lstrip("+"))
+        step = int(step_spec[1:]) if multiplicative else int(step_spec)
     except ValueError as exc:
         raise CliParseError(f"bad n-range {spec!r}: {exc}") from exc
     if start < 1 or stop < start or step < (2 if multiplicative else 1):

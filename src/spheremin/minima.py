@@ -3,8 +3,9 @@
 Two routes everywhere: exact survival-power quadrature and the
 large-n asymptotic 1/(f(0)(n+1)).  The half-normal specializations give
 the mean smallest coordinate magnitude on the sphere via the gamma
-half-ratio prefactor.  Every route returns the quadrature's MinResult;
-the asymptotic routes fill only its value and method.
+half-ratio prefactor; the sphere's large-n law is that prefactor times
+asymptotic_min(half_normal(), n).  Every route returns the quadrature's
+MinResult; the asymptotic route fills only its n, value and method.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from .distributions import Distribution, half_normal
 from .errors import HypothesisViolatedError, _check_int
 from .quadrature import MinResult, survival_power_integral
-from .special import SQRT_PI, gamma_ratio
+from .special import gamma_ratio
 
 DEFAULT_TOL = 1e-10
 
@@ -60,14 +61,4 @@ def asymptotic_min(dist: Distribution, n: int) -> MinResult:
         )
     scale = f0 * (n + 1)
     value = 1.0 / scale if math.isfinite(scale) else 1.0 / (n + 1) / f0
-    return MinResult(n, value, "asymptotic")
-
-
-def emin_asymptotic(n: int) -> MinResult:
-    """Closed-form large-n approximation to the spherical minimum mean.
-
-    Gamma(n/2)/Gamma((n+1)/2) * sqrt(pi)/(2(n+1)), which behaves like
-    sqrt(pi/2) * n^(-3/2) for large n.
-    """
-    value = gamma_ratio(n, 1) * SQRT_PI / (2.0 * (n + 1))
     return MinResult(n, value, "asymptotic")

@@ -52,7 +52,7 @@ class TestParsing:
         assert parse_n_range("1:10:3") == [1, 4, 7, 10]
         assert parse_n_range("1:10:+3") == [1, 4, 7, 10]
 
-    @pytest.mark.parametrize("bad", ["10:1:x10", "0:5:1", "1:10", "a:b:c", "1:10:x1"])
+    @pytest.mark.parametrize("bad", ["10:1:x10", "0:5:1", "1:10", "a:b:c", "1:10:x1", "1:10:++3"])
     def test_bad_n_range(self, bad):
         with pytest.raises(CliParseError):
             parse_n_range(bad)
@@ -251,8 +251,9 @@ class TestReproducibilityAndRoundTrip:
 
 
 class TestPinnedOutput:
-    # the emin sweep's stdout and nmin's bits at large n, frozen: a change
-    # to the quadrature that moves them changes the output contract
+    # the stdout of the emin sweep, of verify and of a sphere-mean sweep, and
+    # nmin's bits at large n, frozen: a change to the quadrature or to the
+    # Monte Carlo stream that moves them changes the output contract
 
     def test_emin_sweep_digest(self, capsys):
         code, out, _ = run(["sweep", "--command", "emin", "--n-range", "1:1000:1",
@@ -260,6 +261,19 @@ class TestPinnedOutput:
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "f8f52513af299e9af2e7ea1801b422ad4ee6220bca29fe6691c0529fc99f3393")
+
+    def test_verify_digest(self, capsys):
+        code, out, _ = run(["verify", "--seed", "42"], capsys)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "bdde2d42e9363cf323c943acf4f26d221f09257ab675e7aa70dd1d9e66a944aa")
+
+    def test_sphere_mean_sweep_digest(self, capsys):
+        code, out, _ = run(["sphere-mean", "--n-range", "2:200:1", "--samples", "500",
+                            "--seed", "0", "--format", "csv"], capsys)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "61ed7d361223ca4624d000af20c067f514afb2c4511f3b97fe6a8ee82f6cf66b")
 
     @pytest.mark.parametrize("k,bits", [(3, "0x1.d02cb8bbfda7fp-11"), (6, "0x1.dbc9fab81147dp-21"),
                                         (9, "0x1.e73559fa5ad0ep-31"), (12, "0x1.f2e6c291f0ea0p-41")])

@@ -14,7 +14,8 @@ import pytest
 import spheremin
 from spheremin.distributions import exponential, half_normal, heavy_tail, power_law, uniform01
 from spheremin.errors import HypothesisViolatedError, NonConvergentError
-from spheremin.minima import asymptotic_min, emin, emin_asymptotic, expected_min, nmin
+from spheremin.minima import asymptotic_min, emin, expected_min, nmin
+from spheremin.special import gamma_ratio
 
 INV_SQRT_PI = 0.5641895835477563
 NMIN_2 = 0.3304946062926472          # mpmath: integral of erfc^2
@@ -156,7 +157,6 @@ class TestExpectedMin:
         assert emin(10).converged is True
         assert nmin(10).converged is True
         assert asymptotic_min(exponential(1.0), 10).converged is None
-        assert emin_asymptotic(10).converged is None
 
 
 class TestAsymptoticMin:
@@ -209,18 +209,20 @@ class TestAsymptoticMin:
 
 
 class TestEminAsymptotic:
+    # the sphere's large-n law: the transfer factor times the half-normal one
+
     def test_n1(self):
-        assert emin_asymptotic(1).value == pytest.approx(math.pi / 4, rel=1e-13)
+        approx = gamma_ratio(1, 1) * asymptotic_min(half_normal(), 1).value
+        assert approx == pytest.approx(math.pi / 4, rel=1e-13)
 
     def test_matches_quadrature_at_large_n(self):
         n = 10**4
-        approx = emin_asymptotic(n).value
+        approx = gamma_ratio(n, 1) * asymptotic_min(half_normal(), n).value
         exact = emin(n, 1e-13).value
         assert approx == pytest.approx(exact, rel=1e-3)
 
     def test_nmin_emin_ratio_is_inverse_gamma_ratio(self):
         # nmin/emin = Gamma((n+1)/2)/Gamma(n/2) ~ sqrt((n+1)/2)
-        from spheremin.special import gamma_ratio
         for n in (10, 1000, 10**6):
             ratio = 1.0 / gamma_ratio(n, 1)
             assert ratio == pytest.approx(math.sqrt((n + 1) / 2.0), rel=2.0 / n)

@@ -12,12 +12,19 @@ ill-conditioned.  ``None`` marks "undefined"; ``math.inf`` is allowed.
 
 Support is always [0, inf) or a bounded [0, support_upper].
 
-The quadrature's tail bound assumes that survival is log-concave (a
+The quadrature's tail test assumes that survival is log-concave (a
 non-decreasing hazard rate) or decays like a power law (1+y)^-alpha; all
 five factories below qualify.  A Distribution built by hand must too: the
-tail beyond the truncation point is bounded by a geometric series in the
-last ratio of 3b * survival(b)^n to its value at b/4, which is a bound
-only if that ratio does not rise with b.
+tail beyond the truncation point counts only once the ratio of
+3b * survival(b)^n to its value at b/4 is small, and is then bounded by a
+geometric series in that ratio, which is a bound only if the ratio does
+not rise with b.
+
+``log_mean_residual`` replaces that series where the remainder has a
+closed form: log_mean_residual(n, b) = log(int_b^inf S^n / S(b)^n), which
+the quadrature adds to n log S(b).  Its rounding must stay within a few
+eps of |n log S(b)| + |its value| + log(n) + 4.  ``None`` (half-normal,
+uniform01, power-law) keeps the geometric bound.
 """
 
 from __future__ import annotations
@@ -35,6 +42,8 @@ class Distribution:
     log_survival: Callable[[float], float]
     density_at_zero: Optional[float]  # None = undefined, math.inf allowed
     support_upper: float  # math.inf for unbounded support
+    # log(int_b^inf S^n / S(b)^n) as a function of (n, b); None = no closed form
+    log_mean_residual: Optional[Callable[[int, float], float]] = None
 
 
 def half_normal() -> Distribution:
@@ -48,14 +57,17 @@ def half_normal() -> Distribution:
 
 
 def exponential(rate: float) -> Distribution:
-    """Exponential with the given rate; log-survival is exactly -rate*y."""
+    """Exponential with the given rate; log-survival is exactly -rate*y, and
+    the remainder beyond b is S(b)^n / (n rate)."""
     if not (math.isfinite(rate) and rate > 0):
         raise ValueError(f"exponential requires rate > 0, got {rate!r}")
+    log_rate = math.log(rate)
     return Distribution(
         name=f"exponential:{rate:g}",
         log_survival=lambda y: -rate * y,
         density_at_zero=rate,
         support_upper=math.inf,
+        log_mean_residual=lambda n, b: -math.log(n) - log_rate,
     )
 
 
@@ -88,17 +100,26 @@ def power_law(k: float) -> Distribution:
 def heavy_tail(alpha: float) -> Distribution:
     """Survival (1+y)^(-alpha): polynomial tail.
 
-    survival^n is integrable exactly when n*alpha > 1.  For n*alpha <= 1
-    the expected minimum of n draws is infinite and the quadrature
-    reports nonconvergence.  It also does so, wrongly, for
-    1 < n*alpha <= 1.074, where the blocks of its grid decay too slowly
-    for its tail rule.
+    survival^n is integrable exactly when n*alpha > 1, and its remainder
+    beyond b is then S(b)^n (1+b) / (n*alpha - 1).  For n*alpha <= 1 the
+    expected minimum of n draws is infinite and the quadrature reports
+    nonconvergence.  It also does so, wrongly, for 1 < n*alpha <= 1.074,
+    where the blocks of its grid decay too slowly for its tail test to
+    let it use that remainder.
     """
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"heavy_tail requires alpha > 0, got {alpha!r}")
+    log_alpha = math.log(alpha)
+
+    def log_mean_residual(n, b):
+        # log(n alpha - 1) as log(n) + log(alpha) + log(1 - 1/(n alpha)),
+        # which stays finite where the product n * alpha overflows
+        return math.log1p(b) - math.log(n) - log_alpha - math.log1p(-1.0 / (n * alpha))
+
     return Distribution(
         name=f"heavy-tail:{alpha:g}",
         log_survival=lambda y: -alpha * math.log1p(y),
         density_at_zero=alpha,
         support_upper=math.inf,
+        log_mean_residual=log_mean_residual,
     )

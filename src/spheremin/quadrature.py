@@ -14,24 +14,31 @@ It stops at _MIN_WIDTH; if the integrand has underflowed even there, the
 panel [0, b_0] may miss the mass, and b_0 joins the tail bound.
 Survival is monotone, so the block [b, 4b] contributes at most
 3b * survival(b)^n.
-The tail bound rests on one premise: the ratio r of a block to the one
+The tail test rests on one premise: the ratio r of a block to the one
 before it does not rise with b.  It holds for every log-concave survival,
 since d/db log(S(4b)/S(b)) = h(b) - 4h(4b) <= 0 for a non-decreasing
 hazard h, and for the power law (1+y)^-alpha.  So once r is at most
 _TAIL_RATIO_CAP**2, the integral beyond b is at most block / (1 - r).
+A boundary counts only from there on; where the law has a closed-form
+remainder (Distribution.log_mean_residual: the exponential and the heavy
+tail), the walk forms it there from n log S(b) at no extra evaluation,
+adds it to the value, and counts only its rounding as the tail: exp
+magnifies the rounding of its argument, so that is a few eps times
+|n log S(b)| plus a few.
 
 The grid is walked once.  The walk stops at the first boundary whose tail
 fits half the tolerance, but not below 1 unless the block and the
 integrand both underflow there, or the tail is below _NEGLIGIBLE_TAIL of
 b_0 S(b_0)^n, which bounds the value from below since S is monotone.  At
 large n that ends the walk a few boundaries past the mass, not where the
-integrand underflows; the clause y >= 1 keeps a value below the absolute
+integrand underflows, and a law with a remainder stops at its first
+counted boundary; the clause y >= 1 keeps a value below the absolute
 tolerance accurate relative to itself.  That boundary is the truncation
 point y*, which a bounded support clips.  A walk that reaches the largest
-floats stops there if it has a tail bound, which then misses the
-tolerance, and otherwise raises NonConvergentError: its blocks show too
-little decay (for the heavy tail, exactly when n * alpha <= 1.074), so the
-expected minimum is divergent or nearly so.
+floats stops there if it has a tail, which then misses the tolerance,
+and otherwise raises NonConvergentError: its blocks show too little decay
+(for the heavy tail, exactly when n * alpha <= 1.074), so the expected
+minimum is divergent or nearly so.
 
 The panels between consecutive boundaries up to y* are integrated by
 QUADPACK's 10/21-point Gauss-Kronrod pair (qk21): 21 evaluations give the
@@ -39,8 +46,9 @@ K21 value and the error estimate |K21 - G10|, one exact sum, so it is not
 a whole number of ulps of the panel's value.  Panels that miss their share
 of the tolerance are bisected, within one budget of leaves per integral,
 so every call does bounded work.  The result is the MinResult that every
-route of minima hands on; it has converged exactly when its error bound,
-the tail bound plus the panel errors, is within the tolerance.
+route of minima hands on: its value is the panels' sum plus any exact
+remainder, and it has converged exactly when its error bound, the tail
+plus the panel errors, is within the tolerance.
 """
 
 from __future__ import annotations
@@ -96,8 +104,12 @@ _WG = _WG_HALF + _WG_HALF[::-1]
 _WD = tuple(w - _WG[i // 2] if i % 2 else w for i, w in enumerate(_WK))
 
 _TAIL_RATIO_CAP = 0.95  # per doubling; the grid's blocks span two doublings
+# the rounding of an exact remainder exp(arg + log_mean_residual), per unit
+# of |arg| + |log_mean_residual| + log(n) + 4
+_REMAINDER_ROUNDING = 8.0 * sys.float_info.epsilon
 # leaves (accepted panels) per integral, which bounds the work of any call;
-# the integrals of the benchmark's dist-grid workload need at most about 80
+# the integrals of the benchmark's dist-grid workload need at most 12
+# (seeds 1-10, rounds 0-2)
 _MAX_LEAVES = 1000
 # the least first width: positive even when n * f(0) overflows
 _MIN_WIDTH = 2.0**-1022
@@ -154,13 +166,15 @@ def _integrate_mesh(log_s, n, bounds, loc_tol):
 
 
 def _grid(dist: Distribution, n: int, budget: float):
-    """Panel bounds 0, b_0, ..., y* on the boundaries b_k = w0 * 4^k, and a
-    certified bound on the integral the panels cannot see: beyond y*, by
-    the rules of the module docstring, and below b_0 if the integrand has
-    underflowed there.  The walk stops at y* once the tail fits ``budget``
-    and y* >= 1 or the tail is negligible beside b_0 S(b_0)^n, or once the
-    block and the integrand underflow.  Raises NonConvergentError at the
-    largest floats without a tail bound."""
+    """Panel bounds 0, b_0, ..., y* on the boundaries b_k = w0 * 4^k, the
+    tail, and the exact remainder beyond y* (0.0 for a law without one).
+    The tail is, by the rules of the module docstring, a certified bound
+    on the integral the panels cannot see beyond y*, or the rounding of
+    the remainder, plus the mass below b_0 if the integrand has underflowed
+    there.  The walk stops at y* once the tail fits ``budget`` and y* >= 1
+    or the tail is negligible beside b_0 S(b_0)^n, or once the block and
+    the integrand underflow.  Raises NonConvergentError at the largest
+    floats without a tail."""
     f0 = dist.density_at_zero
     if f0 is not None and math.isfinite(f0) and f0 > 0.0:
         w0 = min(1.0, 4.0 / (n * f0 + 1.0))
@@ -176,6 +190,7 @@ def _grid(dist: Distribution, n: int, budget: float):
     negligible = _NEGLIGIBLE_TAIL * b * math.exp(arg)
     prev = 0.0  # the block at the boundary before b
     while True:
+        remainder = 0.0
         block = math.exp(arg + math.log(3.0 * b))  # >= the integral over [b, 4b]
         if block == 0.0 and math.exp(arg) == 0.0:
             # the block bound and the integrand both underflow; at b_0 (only
@@ -184,7 +199,14 @@ def _grid(dist: Distribution, n: int, budget: float):
             tail = b if b == bounds[1] else 0.0
             break
         r = block / prev if prev > 0.0 else 1.0  # no ratio at the first boundary
-        tail = block / (1.0 - r) if r <= _TAIL_RATIO_CAP**2 else math.inf
+        if r > _TAIL_RATIO_CAP**2:
+            tail = math.inf
+        elif dist.log_mean_residual is None:
+            tail = block / (1.0 - r)
+        else:
+            log_residual = dist.log_mean_residual(n, b)
+            remainder = math.exp(arg + log_residual)
+            tail = remainder * _REMAINDER_ROUNDING * (abs(arg) + abs(log_residual) + math.log(n) + 4.0)
         last = b > sys.float_info.max / 4.0
         if (tail <= budget and (b >= 1.0 or tail <= negligible)) or (last and tail < math.inf):
             break
@@ -197,12 +219,13 @@ def _grid(dist: Distribution, n: int, budget: float):
         bounds.append(b)
         arg = n * dist.log_survival(b)
     bounds[-1] = min(b, dist.support_upper)
-    return bounds, tail
+    return bounds, tail, remainder
 
 
 def survival_power_integral(dist: Distribution, n: int, tol: float) -> MinResult:
     """E[min of n iid draws] = int_0^inf exp(n log_survival(y)) dy: the
-    panels up to y* (truncation_point) plus a certified tail bound beyond.
+    panels up to y* (truncation_point) plus the exact remainder beyond it
+    where the law has one, else a certified tail bound.
 
     ``tol`` is an absolute error target on the integral value (the value
     itself shrinks like 1/n, so relative targets are unstable).
@@ -211,10 +234,10 @@ def survival_power_integral(dist: Distribution, n: int, tol: float) -> MinResult
     if not (isinstance(tol, float) and 0.0 < tol <= 1e-2):
         raise InvalidToleranceError(f"tol must be in (0, 1e-2], got {tol!r}")
 
-    bounds, tail_bound = _grid(dist, n, 0.5 * tol)
+    bounds, tail_bound, remainder = _grid(dist, n, 0.5 * tol)
     # equal per-panel budget: on a geometric mesh a width-proportional
     # split would starve the panels near 0 where the mass sits
     loc_tol = 0.5 * tol / (len(bounds) - 1)
     value, panel_error, panels = _integrate_mesh(dist.log_survival, n, bounds, loc_tol)
     error_bound = tail_bound + panel_error
-    return MinResult(n, value, "quadrature", error_bound, error_bound <= tol, bounds[-1], panels)
+    return MinResult(n, value + remainder, "quadrature", error_bound, error_bound <= tol, bounds[-1], panels)

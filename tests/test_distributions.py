@@ -5,6 +5,7 @@ unit total mass, and f(0+) as the one-sided derivative of that CDF."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -146,6 +147,28 @@ class TestHeavyTail:
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
             heavy_tail(0.0)
+
+
+@pytest.mark.parametrize("family,param,n,b", [
+    ("exponential", 0.5, 3, 2.0), ("exponential", 1e-3, 1, 16384.0), ("exponential", 1e3, 10**15, 1.6e-17),
+    ("heavy_tail", 1.5, 1, 16.0), ("heavy_tail", 0.36, 3, 1024.0), ("heavy_tail", 1.08e-15, 10**15, 1e6),
+    ("heavy_tail", 2.0, 10**308, 2.0**-1020),
+])
+def test_log_mean_residual_is_the_remainder(family, param, n, b):
+    # exp(log_mean_residual(n, b)) = int_b^inf S^n / S(b)^n: 1/(n rate) for the
+    # exponential, (1+b)/(n alpha - 1) for the heavy tail, also where the
+    # float product n * alpha overflows (n = 10^308)
+    with mp.workdps(40):
+        if family == "exponential":
+            dist, exact = exponential(param), 1 / (n * mp.mpf(param))
+        else:
+            dist, exact = heavy_tail(param), (1 + mp.mpf(b)) / (n * mp.mpf(param) - 1)
+        assert mp.almosteq(mp.exp(dist.log_mean_residual(n, b)), exact, rel_eps=1e-13)
+
+
+def test_no_closed_form_remainder():
+    for dist in (half_normal(), uniform01(), power_law(2.0)):
+        assert dist.log_mean_residual is None
 
 
 @given(st.floats(min_value=0.0, max_value=8.0))

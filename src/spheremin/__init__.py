@@ -1,7 +1,12 @@
 """Spherical means of homogeneous functions and expected minima of iid
 nonnegative random variables, computed by mutually cross-validating
 routes: survival-power quadrature, Gaussian-transfer identities, large-n
-asymptotic laws, and seeded Monte Carlo."""
+asymptotic laws, and seeded Monte Carlo.
+
+The Monte Carlo routes are the one part that needs numpy, and they live
+only in the submodule `spheremin.transfer` (`from spheremin import
+transfer`); `import spheremin` binds every name of `__all__` and loads
+no numpy."""
 
 from .distributions import (
     Distribution,
@@ -27,43 +32,15 @@ from .minima import (
 )
 from .special import gamma_ratio, log_erfc
 
-
-# The names of __all__ not bound above are the Monte Carlo names of transfer,
-# the one module that needs numpy; they and the submodule itself are imported
-# on first use (PEP 562), so that the quadrature routes and the min commands
-# of the CLI never load numpy.
-def __getattr__(name):
-    if name == "transfer" or name in __all__:
-        # import_module, since `from . import transfer` would look the name
-        # up on this package first and so call back into this hook
-        from importlib import import_module
-
-        transfer = import_module(".transfer", __name__)
-        if name == "transfer":
-            return transfer
-        value = globals()[name] = getattr(transfer, name)
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))
-
-
 __all__ = [
     "DEFAULT_TOL",
     "Distribution",
-    "Estimate",
-    "HomogeneousFunction",
     "HypothesisViolatedError",
     "InvalidToleranceError",
     "MinResult",
     "NonConvergentError",
     "SphereMinError",
-    "TransferReport",
     "asymptotic_min",
-    "builtin_function",
-    "builtin_functions",
     "emin",
     "expected_min",
     "exponential",
@@ -73,9 +50,6 @@ __all__ = [
     "log_erfc",
     "nmin",
     "power_law",
-    "sphere_mean_direct",
-    "sphere_mean_from_gaussian",
-    "transfer_identity_check",
     "uniform01",
 ]
 

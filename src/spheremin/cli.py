@@ -138,7 +138,10 @@ def _emit(rows: List[dict], columns: Sequence[str], fmt: str, out: io.TextIOBase
         for row in rows:
             out.write(",".join(_fmt(row[c]) for c in columns) + "\n")
     elif fmt == "json":
-        payload = [{c: row[c] for c in columns} for row in rows]
+        # JSON has no inf or nan: a non-finite float is written as the
+        # string that csv and table print
+        payload = [{c: _fmt(row[c]) if isinstance(row[c], float) and not math.isfinite(row[c])
+                    else row[c] for c in columns} for row in rows]
         out.write(json.dumps(payload, indent=2) + "\n")
     else:  # table
         cells = [[_fmt(row[c]) for c in columns] for row in rows]

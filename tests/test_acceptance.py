@@ -12,6 +12,7 @@ import pytest
 from scipy.integrate import quad
 
 import spheremin as sm
+from spheremin import transfer
 
 SQRT_PI_HALF = 0.8862269254527580
 
@@ -64,10 +65,10 @@ def test_criterion_4_asymptotic_law_and_violators():
 
 def test_criterion_5_sphere_formula_end_to_end():
     """Gamma-transfer quadrature equals direct sphere Monte Carlo."""
-    min_abs = sm.builtin_function("min-abs")
+    min_abs = transfer.builtin_function("min-abs")
     seeds = np.random.SeedSequence(42).spawn(4)
     for n, seed in zip((2, 5, 10, 50), seeds):
-        est = sm.sphere_mean_direct(min_abs, n, 10**6, seed)
+        est = transfer.sphere_mean_direct(min_abs, n, 10**6, seed)
         ref = sm.emin(n).value
         assert abs(est.point - ref) <= 4.0 * est.std_error
     report("5 (quadrature route matches direct sphere sampling)")
@@ -77,9 +78,9 @@ def test_criterion_6_transfer_identity_all_builtins():
     """Both Monte Carlo routes agree for every built-in function, and the
     degree-2 gamma identity is exact."""
     seeds = iter(np.random.SeedSequence(4242).spawn(15))
-    for f in sm.builtin_functions():
+    for f in transfer.builtin_functions():
         for n in (2, 3, 10):
-            rep = sm.transfer_identity_check(f, n, 10**6, next(seeds))
+            rep = transfer.transfer_identity_check(f, n, 10**6, next(seeds))
             assert rep.agree, (f.name, n, rep.z_score)
     for n in range(1, 1001):
         assert abs(sm.gamma_ratio(n, 2) * (n / 2.0) - 1.0) <= 1e-12

@@ -96,6 +96,19 @@ class TestCommands:
         assert rows[0]["n"] == 2
         assert rows[0]["value"] == pytest.approx(0.3304946062926472, abs=1e-9)
 
+    def test_json_writes_an_overflowed_value_as_a_string(self, capsys):
+        # 1/(f(0)(n+1)) overflows; JSON has no Infinity, so the value is the
+        # "inf" that csv and table print
+        code, out, _ = run(["asymptotic", "--dist", "exponential:1e-320", "--n", "1",
+                            "--format", "json"], capsys)
+        assert code == EXIT_OK
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        rows = json.loads(out, parse_constant=reject)
+        assert rows == [{"n": 1, "value": "inf", "error_bound": "unknown", "method": "asymptotic"}]
+
     def test_sweep_scaled_column(self, capsys):
         code, out, _ = run(
             ["sweep", "--command", "nmin", "--n-range", "10:1000:x10",

@@ -1,6 +1,6 @@
-"""What importing spheremin loads: the quadrature routes and the min
-commands of the CLI run without numpy, and the Monte Carlo names of the
-package, which need it, are imported on first use."""
+"""What importing spheremin loads: the package and the min commands of
+the CLI run without numpy, and the Monte Carlo names, which need it,
+live only in the submodule spheremin.transfer."""
 
 import contextlib
 import io
@@ -103,11 +103,14 @@ class TestQuadratureWithoutNumpy:
 
 
 class TestLazyNames:
+    """There are none: `import spheremin` binds every name of __all__, and
+    the Monte Carlo names are reached only through the submodule transfer."""
+
     def test_every_name_of_all_resolves(self):
-        code = ("import json, spheremin; listed = dir(spheremin); "
-                "print(json.dumps([[n in listed, getattr(spheremin, n) is not None]"
-                " for n in spheremin.__all__]))")
-        assert all(all(pair) for pair in json.loads(_fresh(code)))
+        code = ("import json, spheremin; "
+                "print(json.dumps([n for n in spheremin.__all__ if n not in vars(spheremin)]))")
+        assert json.loads(_fresh(code)) == []
+        assert not set(TRANSFER_NAMES) & set(spheremin.__all__)
 
     def test_star_import_binds_all(self):
         code = ("import json; ns = {}; exec('from spheremin import *', ns); "
@@ -115,26 +118,23 @@ class TestLazyNames:
                 "print(json.dumps(sorted(set(spheremin.__all__) - set(ns))))")
         assert json.loads(_fresh(code)) == []
 
-    def test_transfer_submodule_after_import_of_package(self):
-        code = ("import sys, spheremin; before = 'numpy' in sys.modules; "
-                "print(before, spheremin.transfer.__name__, spheremin.transfer_identity_check"
-                " is spheremin.transfer.transfer_identity_check)")
-        assert _fresh(code).split() == ["False", "spheremin.transfer", "True"]
+    @pytest.mark.parametrize("statement", [
+        "import spheremin",
+        "from spheremin import *",
+        "import pydoc, spheremin; pydoc.render_doc(spheremin)",
+    ], ids=["import", "star", "pydoc"])
+    def test_package_leaves_numpy_unloaded(self, statement):
+        assert _fresh(f"import sys; {statement}; print('numpy' in sys.modules)").strip() == "False"
 
     def test_unknown_name_is_an_attribute_error(self):
         with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
             spheremin.no_such_name  # noqa: B018
 
-    def test_names_match_transfer(self):
-        # the names of __all__ that importing the package leaves unbound are
-        # transfer's eight, and each resolves to transfer's object
-        code = ("import json, spheremin; "
-                "print(json.dumps([n for n in spheremin.__all__ if n not in vars(spheremin)]))")
-        lazy = json.loads(_fresh(code))
+    def test_transfer_names_come_from_the_submodule(self):
         from spheremin import transfer
-        assert sorted(lazy) == sorted(TRANSFER_NAMES)
-        for name in lazy:
-            assert getattr(spheremin, name) is getattr(transfer, name)
+        for name in TRANSFER_NAMES:
+            assert getattr(transfer, name) is not None
+            assert not hasattr(spheremin, name)
 
     def test_fn_choices_are_the_builtin_names(self):
         assert list(cli._FN_NAMES) == [f.name for f in builtin_functions()]

@@ -36,6 +36,12 @@ with open(_CACHE) as _fh:
 NS = [1, 2, 10, 100, 10**4]
 
 
+def _assert_honest(res, exact):
+    """The error bound covers the error, up to 8 ulp for the rounding of
+    the final sum, which the bound leaves out."""
+    assert abs(res.value - exact) <= res.error_bound + 8 * EPS * exact
+
+
 @pytest.mark.parametrize("n", NS)
 def test_exponential_closed_form(n):
     tol = 1e-10
@@ -181,7 +187,7 @@ def test_divergence_classification(n, n_alpha):
     else:
         res = survival_power_integral(dist, n, 1e-10)
         assert res.converged
-        assert abs(res.value - exact) <= res.error_bound + 8 * EPS * exact
+        _assert_honest(res, exact)
 
 
 def _log_block_ratios(dist, n, w0):
@@ -306,7 +312,7 @@ def test_error_bound_is_honest(family, param, n, hn, tol):
     dist, exact = _exact(family, param, n)
     res = survival_power_integral(dist, n, tol)
     assert res.converged and res.error_bound <= tol
-    assert abs(res.value - exact) <= res.error_bound + 8 * EPS * exact
+    _assert_honest(res, exact)
 
 
 def test_uniform_rounding_is_within_two_ulp():
@@ -324,7 +330,7 @@ def test_panel_error_is_finer_than_an_ulp_of_the_value():
     dist, exact = _exact("exponential", 1e-3, 1)
     res = survival_power_integral(dist, 1, 1e-13)
     assert res.converged and res.error_bound <= 1e-13
-    assert abs(res.value - exact) <= res.error_bound + 8 * EPS * exact
+    _assert_honest(res, exact)
 
 
 @pytest.mark.parametrize("n,limit", [(10, 50), (10**6, 120)])
@@ -357,7 +363,7 @@ def test_first_boundary_moves_down_to_the_mass(k, n, tol):
     dist, exact = _exact("power_law", k, n)
     res = survival_power_integral(dist, n, tol)
     assert res.converged
-    assert abs(res.value - exact) <= res.error_bound + 8 * EPS * exact
+    _assert_honest(res, exact)
 
 
 @settings(max_examples=200, deadline=None)
@@ -385,7 +391,7 @@ def test_unreachable_tolerance_ends_in_bounded_work(family, param, n, hn, tol):
     t0 = time.perf_counter()
     res = survival_power_integral(counted, n, tol)
     assert time.perf_counter() - t0 < 5.0
-    assert abs(res.value - exact) <= res.error_bound + 8 * EPS * exact
+    _assert_honest(res, exact)
     assert res.converged == (res.error_bound <= tol)
     if (family, n, tol) == ("half_normal", 10, 1e-300):
         assert res.converged is False

@@ -24,7 +24,7 @@ not rise with b.
 closed form: log_mean_residual(n, b) = log(int_b^inf S^n / S(b)^n), which
 the quadrature adds to n log S(b).  Its rounding must stay within a few
 eps of |n log S(b)| + |its value| + log(n) + 4.  ``None`` (half-normal,
-uniform01, power-law) keeps the geometric bound.
+power-law) keeps the geometric bound.
 """
 
 from __future__ import annotations
@@ -72,12 +72,14 @@ def exponential(rate: float) -> Distribution:
 
 
 def uniform01() -> Distribution:
-    """Uniform on [0, 1]; the minimum of n draws has mean exactly 1/(n+1)."""
+    """Uniform on [0, 1]; the minimum of n draws has mean exactly 1/(n+1),
+    and the remainder beyond b is (1-b)^(n+1) / (n+1), 0 from b = 1 on."""
     return Distribution(
         name="uniform01",
         log_survival=lambda y: math.log1p(-y) if y < 1.0 else -math.inf,
         density_at_zero=1.0,
         support_upper=1.0,
+        log_mean_residual=lambda n, b: math.log1p(-b) - math.log(n + 1) if b < 1.0 else -math.inf,
     )
 
 
@@ -104,8 +106,8 @@ def heavy_tail(alpha: float) -> Distribution:
     beyond b is then S(b)^n (1+b) / (n*alpha - 1).  For n*alpha <= 1 the
     expected minimum of n draws is infinite and the quadrature reports
     nonconvergence.  It also does so, wrongly, for 1 < n*alpha <= 1.074,
-    where the blocks of its grid decay too slowly for its tail test to
-    let it use that remainder.
+    where the blocks of its grid decay too slowly for its tail test ever
+    to pass, which the quadrature asks before it takes that remainder.
     """
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"heavy_tail requires alpha > 0, got {alpha!r}")

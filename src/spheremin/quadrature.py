@@ -19,26 +19,30 @@ before it does not rise with b.  It holds for every log-concave survival,
 since d/db log(S(4b)/S(b)) = h(b) - 4h(4b) <= 0 for a non-decreasing
 hazard h, and for the power law (1+y)^-alpha.  So once r is at most
 _TAIL_RATIO_CAP**2, the integral beyond b is at most block / (1 - r).
-A boundary counts only from there on; where the law has a closed-form
-remainder (Distribution.log_mean_residual: the exponential and the heavy
-tail), the walk forms it there from n log S(b) at no extra evaluation,
-adds it to the value, and counts only its rounding as the tail: exp
-magnifies the rounding of its argument, so that is a few eps times
-|n log S(b)| plus a few.
+A boundary counts only from there on.  Where the law has a closed-form
+remainder (Distribution.log_mean_residual: the exponential, uniform01 and
+the heavy tail), the boundary b where the ratio passes is only the ratio's
+look-ahead: the walk forms the remainder beyond the boundary b/4 before
+it, from the n log S(b/4) it has already evaluated, adds it to the value,
+and counts only its rounding as the tail.  exp magnifies the rounding of
+its argument, so that is a few eps times |n log S(b/4)| plus a few, and
+one subnormal step where the remainder is subnormal.
 
 The grid is walked once.  The walk stops at the first boundary whose tail
 fits half the tolerance, but not below 1 unless the block and the
 integrand both underflow there, or the tail is below _NEGLIGIBLE_TAIL of
 b_0 S(b_0)^n, which bounds the value from below since S is monotone.  At
 large n that ends the walk a few boundaries past the mass, not where the
-integrand underflows, and a law with a remainder stops at its first
-counted boundary; the clause y >= 1 keeps a value below the absolute
-tolerance accurate relative to itself.  That boundary is the truncation
-point y*, which a bounded support clips.  A walk that reaches the largest
-floats stops there if it has a tail, which then misses the tolerance,
-and otherwise raises NonConvergentError: its blocks show too little decay
-(for the heavy tail, exactly when n * alpha <= 1.074), so the expected
-minimum is divergent or nearly so.
+integrand underflows; the clause y >= 1 keeps a value below the absolute
+tolerance accurate relative to itself.  A law with a remainder skips both
+clauses, since the rounding of an exact remainder is already relative to
+the value: it stops at the boundary before the ratio's look-ahead once
+the remainder's rounding fits, which is often b_0 itself.  That boundary
+is the truncation point y*, which a bounded support clips.  A walk that
+reaches the largest floats stops there if it has a tail, which then
+misses the tolerance, and otherwise raises NonConvergentError: its blocks
+show too little decay (for the heavy tail, exactly when n * alpha <=
+1.074), so the expected minimum is divergent or nearly so.
 
 The panels between consecutive boundaries up to y* are integrated by
 QUADPACK's 10/21-point Gauss-Kronrod pair (qk21): 21 evaluations give the
@@ -105,11 +109,14 @@ _WD = tuple(w - _WG[i // 2] if i % 2 else w for i, w in enumerate(_WK))
 
 _TAIL_RATIO_CAP = 0.95  # per doubling; the grid's blocks span two doublings
 # the rounding of an exact remainder exp(arg + log_mean_residual), per unit
-# of |arg| + |log_mean_residual| + log(n) + 4
+# of |arg| + |log_mean_residual| + log(n) + 4, plus one subnormal step, the
+# rounding of exp where the remainder is subnormal
 _REMAINDER_ROUNDING = 8.0 * sys.float_info.epsilon
+_SUBNORMAL_STEP = math.ulp(0.0)
 # leaves (accepted panels) per integral, which bounds the work of any call;
 # the integrals of the benchmark's dist-grid workload need at most 12
-# (seeds 1-10, rounds 0-2)
+# (seeds 1-10, rounds 0-2; the power law's), and those of the laws with an
+# exact remainder at most 3
 _MAX_LEAVES = 1000
 # the least first width: positive even when n * f(0) overflows
 _MIN_WIDTH = 2.0**-1022
@@ -173,8 +180,10 @@ def _grid(dist: Distribution, n: int, budget: float):
     the remainder, plus the mass below b_0 if the integrand has underflowed
     there.  The walk stops at y* once the tail fits ``budget`` and y* >= 1
     or the tail is negligible beside b_0 S(b_0)^n, or once the block and
-    the integrand underflow.  Raises NonConvergentError at the largest
-    floats without a tail."""
+    the integrand underflow.  A law with a remainder stops instead once
+    the ratio passes at 4 y* and the remainder's rounding fits ``budget``;
+    that look-ahead boundary is dropped from the bounds.  Raises
+    NonConvergentError at the largest floats without a tail."""
     f0 = dist.density_at_zero
     if f0 is not None and math.isfinite(f0) and f0 > 0.0:
         w0 = min(1.0, 4.0 / (n * f0 + 1.0))
@@ -188,26 +197,32 @@ def _grid(dist: Distribution, n: int, budget: float):
     bounds = [0.0, b]
     # S is monotone, so b_0 S(b_0)^n <= the integral over [0, b_0] <= the value
     negligible = _NEGLIGIBLE_TAIL * b * math.exp(arg)
-    prev = 0.0  # the block at the boundary before b
+    prev = prev_arg = 0.0  # the block and n log S at the boundary before b
     while True:
-        remainder = 0.0
         block = math.exp(arg + math.log(3.0 * b))  # >= the integral over [b, 4b]
+        r = block / prev if prev > 0.0 else 1.0  # no ratio at the first boundary
+        last = b > sys.float_info.max / 4.0
+        if r <= _TAIL_RATIO_CAP**2 and dist.log_mean_residual is not None:
+            # the gate passes at b, which serves only as its look-ahead: the
+            # exact remainder stands at the boundary before it
+            log_residual = dist.log_mean_residual(n, bounds[-2])
+            remainder = math.exp(prev_arg + log_residual)
+            tail = (remainder * _REMAINDER_ROUNDING * (abs(prev_arg) + abs(log_residual) + math.log(n) + 4.0)
+                    + _SUBNORMAL_STEP)
+            if tail <= budget or last:
+                bounds.pop()
+                break
+        remainder = 0.0
         if block == 0.0 and math.exp(arg) == 0.0:
             # the block bound and the integrand both underflow; at b_0 (only
             # at _MIN_WIDTH) the panel there may miss the mass of [0, b_0],
             # which S^n <= 1 bounds by b_0
             tail = b if b == bounds[1] else 0.0
             break
-        r = block / prev if prev > 0.0 else 1.0  # no ratio at the first boundary
-        if r > _TAIL_RATIO_CAP**2:
-            tail = math.inf
-        elif dist.log_mean_residual is None:
-            tail = block / (1.0 - r)
+        if r > _TAIL_RATIO_CAP**2 or dist.log_mean_residual is not None:
+            tail = math.inf  # a law with a remainder stops only above
         else:
-            log_residual = dist.log_mean_residual(n, b)
-            remainder = math.exp(arg + log_residual)
-            tail = remainder * _REMAINDER_ROUNDING * (abs(arg) + abs(log_residual) + math.log(n) + 4.0)
-        last = b > sys.float_info.max / 4.0
+            tail = block / (1.0 - r)
         if (tail <= budget and (b >= 1.0 or tail <= negligible)) or (last and tail < math.inf):
             break
         if last:
@@ -215,10 +230,10 @@ def _grid(dist: Distribution, n: int, budget: float):
                 f"tail of survival^{n} for {dist.name} cannot be bounded; "
                 "the expected minimum is divergent or nearly so"
             )
-        prev, b = block, 4.0 * b
+        prev, prev_arg, b = block, arg, 4.0 * b
         bounds.append(b)
         arg = n * dist.log_survival(b)
-    bounds[-1] = min(b, dist.support_upper)
+    bounds[-1] = min(bounds[-1], dist.support_upper)
     return bounds, tail, remainder
 
 

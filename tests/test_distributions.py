@@ -153,21 +153,26 @@ class TestHeavyTail:
     ("exponential", 0.5, 3, 2.0), ("exponential", 1e-3, 1, 16384.0), ("exponential", 1e3, 10**15, 1.6e-17),
     ("heavy_tail", 1.5, 1, 16.0), ("heavy_tail", 0.36, 3, 1024.0), ("heavy_tail", 1.08e-15, 10**15, 1e6),
     ("heavy_tail", 2.0, 10**308, 2.0**-1020),
+    ("uniform01", None, 1, 0.25), ("uniform01", None, 10**6, 4.0 / (10**6 + 1)), ("uniform01", None, 7, 0.75),
+    ("uniform01", None, 10**308, 2.0**-1022), ("uniform01", None, 3, 1.0),
 ])
 def test_log_mean_residual_is_the_remainder(family, param, n, b):
     # exp(log_mean_residual(n, b)) = int_b^inf S^n / S(b)^n: 1/(n rate) for the
-    # exponential, (1+b)/(n alpha - 1) for the heavy tail, also where the
-    # float product n * alpha overflows (n = 10^308)
+    # exponential, (1+b)/(n alpha - 1) for the heavy tail, (1-b)/(n+1) for
+    # uniform01 (0 from b = 1 on), also where the float product n * alpha
+    # overflows (n = 10^308)
     with mp.workdps(40):
         if family == "exponential":
             dist, exact = exponential(param), 1 / (n * mp.mpf(param))
+        elif family == "uniform01":
+            dist, exact = uniform01(), (1 - mp.mpf(b)) / (n + 1)
         else:
             dist, exact = heavy_tail(param), (1 + mp.mpf(b)) / (n * mp.mpf(param) - 1)
         assert mp.almosteq(mp.exp(dist.log_mean_residual(n, b)), exact, rel_eps=1e-13)
 
 
 def test_no_closed_form_remainder():
-    for dist in (half_normal(), uniform01(), power_law(2.0)):
+    for dist in (half_normal(), power_law(2.0)):
         assert dist.log_mean_residual is None
 
 

@@ -12,19 +12,17 @@ ill-conditioned.  ``None`` marks "undefined"; ``math.inf`` is allowed.
 
 Support is always [0, inf) or a bounded [0, support_upper].
 
-The quadrature's tail test assumes that survival is log-concave (a
-non-decreasing hazard rate) or decays like a power law (1+y)^-alpha; all
-five factories below qualify.  A Distribution built by hand must too: the
-tail beyond the truncation point counts only once the ratio of
-3b * survival(b)^n to its value at b/4 is small, and is then bounded by a
-geometric series in that ratio, which is a bound only if the ratio does
-not rise with b.
-
-``log_mean_residual`` replaces that series where the remainder has a
-closed form: log_mean_residual(n, b) = log(int_b^inf S^n / S(b)^n), which
-the quadrature adds to n log S(b).  Its rounding must stay within a few
-eps of |n log S(b)| + |its value| + log(n) + 4.  ``None`` (half-normal,
-power-law) keeps the geometric bound.
+``log_mean_residual`` is the exact tail: log_mean_residual(n, b) =
+log(int_b^inf S^n / S(b)^n), which the quadrature adds to n log S(b).
+Its rounding must stay within a few eps of |n log S(b)| + |its value| +
+log(n) + 4.  The exponential, uniform01 and the heavy tail have one.  A
+law without one (half-normal, power-law, or one built by hand) must have
+a log-concave survival (a non-decreasing hazard rate) with S(0) = 1, and
+a log_survival within a few eps of its magnitude: the quadrature bounds
+its tail by the chord of n log S through the last two points of its grid,
+starting from (0, 0), which lies above n log S beyond them only then.
+The quadrature raises HypothesisViolatedError with condition
+"log-concave" where its chords show otherwise.
 """
 
 from __future__ import annotations
@@ -42,7 +40,8 @@ class Distribution:
     log_survival: Callable[[float], float]
     density_at_zero: Optional[float]  # None = undefined, math.inf allowed
     support_upper: float  # math.inf for unbounded support
-    # log(int_b^inf S^n / S(b)^n) as a function of (n, b); None = no closed form
+    # log(int_b^inf S^n / S(b)^n) as a function of (n, b); None = no closed
+    # form, and then the survival must be log-concave
     log_mean_residual: Optional[Callable[[int, float], float]] = None
 
 

@@ -20,11 +20,13 @@ class NonConvergentError(SphereMinError, ArithmeticError):
 
 
 class HypothesisViolatedError(SphereMinError, ValueError):
-    """An asymptotic formula was requested for a distribution that violates
-    one of its hypotheses.
+    """A route was asked for a distribution that violates one of its
+    hypotheses.
 
-    ``condition`` names the hypothesis; ``"density"`` means the density at
-    zero is 0, infinite, or undefined.
+    ``condition`` names the hypothesis: ``"density"`` means the density at
+    zero is 0, infinite, or undefined, which the asymptotic formula needs;
+    ``"log-concave"`` means that the survival of a law without an exact
+    remainder is not log-concave, which the quadrature's tail bound needs.
     """
 
     def __init__(self, condition: str, message: str):

@@ -14,42 +14,61 @@ It stops at _MIN_WIDTH; if the integrand has underflowed even there, the
 panel [0, b_0] may miss the mass, and b_0 joins the tail bound.
 Survival is monotone, so the block [b, 4b] contributes at most
 3b * survival(b)^n.
-The tail test rests on one premise: the ratio r of a block to the one
-before it does not rise with b.  It holds for every log-concave survival,
-since d/db log(S(4b)/S(b)) = h(b) - 4h(4b) <= 0 for a non-decreasing
-hazard h, and for the power law (1+y)^-alpha.  So once r is at most
-_TAIL_RATIO_CAP**2, the integral beyond b is at most block / (1 - r).
-A boundary counts only from there on.  Where the law has a closed-form
-remainder (Distribution.log_mean_residual: the exponential, uniform01 and
-the heavy tail), the boundary b where the ratio passes is only the ratio's
+
+Where the law has a closed-form remainder (Distribution.log_mean_residual:
+the exponential, uniform01 and the heavy tail), a ratio gate decides where
+it stands.  The gate rests on one premise: the ratio r of a block to the
+one before it does not rise with b.  It holds for every log-concave
+survival, since d/db log(S(4b)/S(b)) = h(b) - 4h(4b) <= 0 for a
+non-decreasing hazard h, and for the power law (1+y)^-alpha.  The boundary
+b where r first is at most _TAIL_RATIO_CAP**2 is only the gate's
 look-ahead: the walk forms the remainder beyond the boundary b/4 before
 it, from the n log S(b/4) it has already evaluated, adds it to the value,
 and counts only its rounding as the tail.  exp magnifies the rounding of
 its argument, so that is a few eps times |n log S(b/4)| plus a few, and
 one subnormal step where the remainder is subnormal.
 
-The grid is walked once.  The walk stops at the first boundary whose tail
-fits half the tolerance, but not below 1 unless the block and the
-integrand both underflow there, or the tail is below _NEGLIGIBLE_TAIL of
-b_0 S(b_0)^n, which bounds the value from below since S is monotone.  At
-large n that ends the walk a few boundaries past the mass, not where the
-integrand underflows; the clause y >= 1 keeps a value below the absolute
-tolerance accurate relative to itself.  A law with a remainder skips both
-clauses, since the rounding of an exact remainder is already relative to
-the value: it stops at the boundary before the ratio's look-ahead once
-the remainder's rounding fits, which is often b_0 itself.  That boundary
-is the truncation point y*, which a bounded support clips.  A walk that
-reaches the largest floats stops there if it has a tail, which then
-misses the tolerance, and otherwise raises NonConvergentError: its blocks
-show too little decay (for the heavy tail, exactly when n * alpha <=
-1.074), so the expected minimum is divergent or nearly so.
+Every other law must have a log-concave survival with S(0) = 1, so that
+n log S is concave and 0 at 0.  Its chord through the last two points
+the walk has evaluated, (p, n log S(p)) and (b, n log S(b)), starting
+from (0, 0), then lies above n log S beyond b: with s the chord's rate of
+fall, int_y^inf S^n <= S(b)^n e^(-s (y - b)) / s for every y >= b.  Each
+value is widened by its rounding, a few eps of its magnitude, and so is
+each term of the exponent.  The walk checks the premise on the points it
+has: a chord that falls more slowly than the one before it, beyond
+rounding, raises HypothesisViolatedError.  A walk that stops at its first
+chord, or a bend that no two chords show, goes unchecked.
 
-The panels between consecutive boundaries up to y* are integrated by
+The grid is walked once.  A law without a remainder stops at the least
+y* >= b whose chord tail fits half the tolerance, but not below 1 unless
+the tail is below _NEGLIGIBLE_TAIL of b_0 S(b_0)^n, which bounds the value
+from below since S is monotone.  That y* is solved for in closed form.
+If it lies within the block [b, 4b], the panel [b, y*] ends the grid, and
+since that panel is added anyway, y* moves on within the block to where
+the tail is negligible; otherwise the walk goes on to 4b.  At large n that
+ends the walk a few boundaries past the mass, not where the integrand
+underflows; the clause y* >= 1 keeps a value below the absolute tolerance
+accurate relative to itself.  A law with a remainder skips both clauses,
+since the rounding of an exact remainder is already relative to the
+value: it stops at the boundary before the gate's look-ahead once the
+remainder's rounding fits, which is often b_0 itself.  Either walk also
+stops where the block and the integrand both underflow.  The point where
+the walk stops is the truncation point y*, which a bounded support clips,
+with no tail beyond it.  A walk that reaches the largest floats stops
+there if it has a tail, which then misses the tolerance, and otherwise
+raises NonConvergentError: its blocks show too little decay (for the
+heavy tail, exactly when n * alpha <= 1.074), so the expected minimum is
+divergent or nearly so.
+
+The panels between consecutive bounds up to y* are integrated by
 QUADPACK's 10/21-point Gauss-Kronrod pair (qk21): 21 evaluations give the
 K21 value and the error estimate |K21 - G10|, one exact sum, so it is not
 a whole number of ulps of the panel's value.  Panels that miss their share
 of the tolerance are bisected, within one budget of leaves per integral,
-so every call does bounded work.  The result is the MinResult that every
+so every call does bounded work.  A panel at 0 splits at a quarter
+instead, as the grid does: a cusp y^k at 0, as in the power law, gives a
+panel error that falls as its width^(k+1), so each split of [0, b] cuts it
+by 4^(k+1), not 2^(k+1).  The result is the MinResult that every
 route of minima hands on: its value is the panels' sum plus any exact
 remainder, and it has converged exactly when its error bound, the tail
 plus the panel errors, is within the tolerance.
@@ -64,7 +83,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .distributions import Distribution
-from .errors import InvalidToleranceError, NonConvergentError, _check_int
+from .errors import HypothesisViolatedError, InvalidToleranceError, NonConvergentError, _check_int
 
 # QUADPACK qk21 (Piessens et al., 1983) on [-1, 1]: the 21 Kronrod nodes,
 # largest first; the 10 Gauss nodes are those at odd indices.
@@ -108,15 +127,16 @@ _WG = _WG_HALF + _WG_HALF[::-1]
 _WD = tuple(w - _WG[i // 2] if i % 2 else w for i, w in enumerate(_WK))
 
 _TAIL_RATIO_CAP = 0.95  # per doubling; the grid's blocks span two doublings
-# the rounding of an exact remainder exp(arg + log_mean_residual), per unit
-# of |arg| + |log_mean_residual| + log(n) + 4, plus one subnormal step, the
-# rounding of exp where the remainder is subnormal
-_REMAINDER_ROUNDING = 8.0 * sys.float_info.epsilon
+# the rounding of arg = n log S(y), per unit of |arg|, and of an exact
+# remainder exp(arg + log_mean_residual), per unit of |arg| +
+# |log_mean_residual| + log(n) + 4, plus one subnormal step, the rounding of
+# exp where the remainder is subnormal
+_ROUNDING = 8.0 * sys.float_info.epsilon
 _SUBNORMAL_STEP = math.ulp(0.0)
 # leaves (accepted panels) per integral, which bounds the work of any call;
-# the integrals of the benchmark's dist-grid workload need at most 12
-# (seeds 1-10, rounds 0-2; the power law's), and those of the laws with an
-# exact remainder at most 3
+# the integrals of the benchmark's dist-grid workload need at most 9
+# (seeds 1-10, rounds 0-2; the power law's), the half-normal's at most 5,
+# and those of the laws with an exact remainder at most 3
 _MAX_LEAVES = 1000
 # the least first width: positive even when n * f(0) overflows
 _MIN_WIDTH = 2.0**-1022
@@ -155,7 +175,8 @@ def _integrate_mesh(log_s, n, bounds, loc_tol):
     A panel is accepted when its error is within ``loc_tol`` (halved at
     each bisection) or at the level of rounding, or when splitting it
     would take the accepted and pending panels past _MAX_LEAVES; otherwise
-    it is bisected.  Returns (value, error, leaves)."""
+    it is split in two, at its midpoint or, for a panel at 0, at a quarter.
+    Returns (value, error, leaves)."""
     values, errors = [], []
     stack = [(a, b, loc_tol) for a, b in zip(bounds, bounds[1:])]
     stack.reverse()  # left to right: a budget that runs out is spent near 0
@@ -167,23 +188,50 @@ def _integrate_mesh(log_s, n, bounds, loc_tol):
             values.append(value)
             errors.append(err)
         else:
-            m = 0.5 * (a + b)
+            # b/4 carries the grid's ratio on toward 0, where a cusp y^k
+            # makes the panel error fall as b^(k+1)
+            m = 0.25 * b if a == 0.0 else 0.5 * (a + b)
             stack += [(m, b, 0.5 * tol), (a, m, 0.5 * tol)]
     return math.fsum(values), math.fsum(errors), len(values)
 
 
+def _chord(p, p_arg, b, arg):
+    """The chord of n log S through (p, p_arg) and (b, arg), each value
+    widened by its rounding.  Returns (drop, log_tail, steepest): drop is
+    the least fall from p to b that the two values allow; where it is
+    positive, a log-concave S has n log S(y) <= arg + its rounding -
+    drop (y - b) / (b - p) at y >= b, so that
+    int_y^inf S^n <= exp(log_tail - drop (y - b) / (b - p)).  steepest is
+    the greatest fall that they allow.  Falls are kept over their widths,
+    not as rates per unit, which overflow where b is near _MIN_WIDTH."""
+    spread = _ROUNDING * (abs(p_arg) + abs(arg))
+    drop = p_arg - arg - spread
+    if drop <= 0.0:
+        return drop, math.inf, drop + 2.0 * spread
+    log_drop, log_width = math.log(drop), math.log(b - p)
+    # exp magnifies the rounding of its argument: that of arg, and that of
+    # each term of the exponent log_tail - drop (y - b) / (b - p), y <= 4b
+    log_tail = arg - log_drop + log_width + spread + _ROUNDING * (abs(arg) + abs(log_drop) + abs(log_width))
+    return drop, log_tail, drop + 2.0 * spread
+
+
 def _grid(dist: Distribution, n: int, budget: float):
-    """Panel bounds 0, b_0, ..., y* on the boundaries b_k = w0 * 4^k, the
-    tail, and the exact remainder beyond y* (0.0 for a law without one).
-    The tail is, by the rules of the module docstring, a certified bound
-    on the integral the panels cannot see beyond y*, or the rounding of
-    the remainder, plus the mass below b_0 if the integrand has underflowed
-    there.  The walk stops at y* once the tail fits ``budget`` and y* >= 1
-    or the tail is negligible beside b_0 S(b_0)^n, or once the block and
-    the integrand underflow.  A law with a remainder stops instead once
-    the ratio passes at 4 y* and the remainder's rounding fits ``budget``;
+    """Panel bounds 0, b_0, ..., y*, the tail, and the exact remainder
+    beyond y* (0.0 for a law without one).  The bounds below y* are the
+    boundaries b_k = w0 * 4^k; for a law without a remainder y* may lie
+    inside the block after the last of them.  The tail is, by the rules of
+    the module docstring, a certified bound on the integral the panels
+    cannot see beyond y*, or the rounding of the remainder, plus the mass
+    below b_0 if the integrand has underflowed there.  A law without a
+    remainder stops at the least y* that its chord tail lets fit
+    ``budget`` with y* >= 1 or a tail negligible beside b_0 S(b_0)^n, once
+    that y* lies within the block ahead, or once the block and the
+    integrand underflow.  A law with a remainder stops instead once the
+    ratio passes at 4 y* and the remainder's rounding fits ``budget``;
     that look-ahead boundary is dropped from the bounds.  Raises
-    NonConvergentError at the largest floats without a tail."""
+    HypothesisViolatedError where the chords show a law without a
+    remainder not to be log-concave, and NonConvergentError at the
+    largest floats without a tail."""
     f0 = dist.density_at_zero
     if f0 is not None and math.isfinite(f0) and f0 > 0.0:
         w0 = min(1.0, 4.0 / (n * f0 + 1.0))
@@ -196,18 +244,19 @@ def _grid(dist: Distribution, n: int, budget: float):
         arg = n * dist.log_survival(b)
     bounds = [0.0, b]
     # S is monotone, so b_0 S(b_0)^n <= the integral over [0, b_0] <= the value
-    negligible = _NEGLIGIBLE_TAIL * b * math.exp(arg)
+    log_negligible = math.log(_NEGLIGIBLE_TAIL) + math.log(b) + arg
+    log_budget = math.log(budget) if budget > 0.0 else -math.inf
     prev = prev_arg = 0.0  # the block and n log S at the boundary before b
+    prev_drop = prev_width = 0.0  # the least fall of the chord before b, and its width
     while True:
         block = math.exp(arg + math.log(3.0 * b))  # >= the integral over [b, 4b]
-        r = block / prev if prev > 0.0 else 1.0  # no ratio at the first boundary
         last = b > sys.float_info.max / 4.0
-        if r <= _TAIL_RATIO_CAP**2 and dist.log_mean_residual is not None:
+        if dist.log_mean_residual is not None and prev > 0.0 and block / prev <= _TAIL_RATIO_CAP**2:
             # the gate passes at b, which serves only as its look-ahead: the
             # exact remainder stands at the boundary before it
             log_residual = dist.log_mean_residual(n, bounds[-2])
             remainder = math.exp(prev_arg + log_residual)
-            tail = (remainder * _REMAINDER_ROUNDING * (abs(prev_arg) + abs(log_residual) + math.log(n) + 4.0)
+            tail = (remainder * _ROUNDING * (abs(prev_arg) + abs(log_residual) + math.log(n) + 4.0)
                     + _SUBNORMAL_STEP)
             if tail <= budget or last:
                 bounds.pop()
@@ -219,12 +268,33 @@ def _grid(dist: Distribution, n: int, budget: float):
             # which S^n <= 1 bounds by b_0
             tail = b if b == bounds[1] else 0.0
             break
-        if r > _TAIL_RATIO_CAP**2 or dist.log_mean_residual is not None:
-            tail = math.inf  # a law with a remainder stops only above
-        else:
-            tail = block / (1.0 - r)
-        if (tail <= budget and (b >= 1.0 or tail <= negligible)) or (last and tail < math.inf):
-            break
+        if dist.log_mean_residual is None:
+            # the chord from the boundary before b, or from (0, 0) at b_0; a
+            # log-concave S falls at least as fast per unit past p as before
+            p = bounds[-2]
+            drop, log_tail, steepest = _chord(p, prev_arg, b, arg)
+            if prev_drop > 0.0 and steepest / prev_drop < (b - p) / prev_width:
+                raise HypothesisViolatedError(
+                    "log-concave",
+                    f"{dist.name}: n log survival falls more slowly past {p:g} than before it, "
+                    "so no chord bounds its tail; give the law a log_mean_residual",
+                )
+            prev_drop, prev_width = drop, b - p
+            if drop > 0.0:
+                def reach(log_target):
+                    # the least y >= b where the chord tail is at most e^log_target
+                    return b + max(0.0, (log_tail - log_target) / drop) * (b - p)
+
+                y = b if last else max(reach(log_budget), min(reach(log_negligible), max(b, 1.0)))
+                y = min(y, dist.support_upper)  # the tail is 0 from there on
+                if y <= 4.0 * b:
+                    if y > b:
+                        # the panel [b, y*] is added anyway: carry y* on
+                        # within the block to a negligible tail
+                        y = min(4.0 * b, max(y, reach(log_negligible)))
+                        bounds.append(y)
+                    tail = 0.0 if y >= dist.support_upper else math.exp(log_tail - drop * ((y - b) / (b - p)))
+                    break
         if last:
             raise NonConvergentError(
                 f"tail of survival^{n} for {dist.name} cannot be bounded; "

@@ -273,7 +273,7 @@ class TestPinnedOutput:
                             "--format", "csv"], capsys)
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "f8f52513af299e9af2e7ea1801b422ad4ee6220bca29fe6691c0529fc99f3393")
+            "17db76ad6f786f3070c06f56dfd115bea15156d701f81bb5d2080ecfe93cf635")
 
     def test_verify_digest(self, capsys):
         code, out, _ = run(["verify", "--seed", "42"], capsys)

@@ -96,6 +96,16 @@ class TestEmin:
         assert r.converged
         assert error <= r.error_bound + 8 * math.ulp(r.value)
 
+    @pytest.mark.parametrize("n,limit", [(12, 1.05e-11), (100, 1e-14)])
+    def test_tail_bound_is_tight(self, n, limit):
+        # at y* = 1.10 the chord tail of nmin(12) is 3.4e-13, where the
+        # geometric bound 3b S(b)^n / (1 - r) was 2.8e-11: emin(12)'s bound
+        # falls from 1.19e-11 to 1.75e-13, against an error of 1.05e-13, and
+        # emin(100)'s from 1.48e-13 to 1.45e-15, against an error of 3.1e-19
+        r = emin(n)
+        assert r.converged
+        assert r.error_bound <= limit
+
     def test_gamma_relation(self):
         # Gamma((n+1)/2) * emin(n) = Gamma(n/2) * nmin(n), via lgamma
         for n in range(1, 51):

@@ -18,9 +18,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from spheremin.distributions import exponential, half_normal, heavy_tail, power_law, uniform01
-from spheremin.errors import InvalidToleranceError, NonConvergentError
+from spheremin.errors import HypothesisViolatedError, InvalidToleranceError, NonConvergentError
 from spheremin.minima import asymptotic_min, emin, expected_min, nmin
-from spheremin.quadrature import _WD, _WG, _WK, _XK, survival_power_integral
+from spheremin.quadrature import _WD, _WG, _WK, _XK, _chord, survival_power_integral
 from spheremin.special import gamma_ratio
 
 INV_SQRT_PI = 0.5641895835477563
@@ -226,8 +226,8 @@ def test_underflow_at_the_least_first_width_is_not_converged():
        n=st.integers(min_value=1, max_value=10**6),
        w0=st.floats(min_value=-12.0, max_value=0.0))
 def test_block_ratios_do_not_rise(family, param, n, w0):
-    # the premise of the grid's tail bound block / (1 - r): the ratio r of
-    # successive blocks 3b S(b)^n does not rise with b
+    # the premise of the ratio gate before an exact remainder: the ratio r
+    # of successive blocks 3b S(b)^n does not rise with b
     param = {"exponential": 1e-3 * 1e6**param, "power_law": 1.01 * (20 / 1.01)**param,
              "heavy_tail": 0.05 * 200.0**param}.get(family, param)
     dist = {"exponential": exponential, "power_law": power_law, "heavy_tail": heavy_tail,
@@ -235,6 +235,65 @@ def test_block_ratios_do_not_rise(family, param, n, w0):
     ratios = list(_log_block_ratios(dist, n, 10.0**w0))
     for (a, ea), (b, eb) in zip(ratios, ratios[1:]):
         assert b <= a + ea + eb
+
+
+def _mp_tail(family, k, n, y):
+    """int_y^inf S^n at 30 digits, split at y + 4^j / (n h(y)), h the hazard."""
+    with mp.workdps(30):
+        y = mp.mpf(y)
+        if family == "half_normal":
+            upper, hazard = mp.inf, 2 * mp.exp(-y * y) / (mp.sqrt(mp.pi) * mp.erfc(y))
+            survival = mp.erfc
+        else:
+            upper, hazard = mp.mpf(1), k * y**(k - 1) / (1 - y**k)
+            survival = lambda t: 1 - t**k  # noqa: E731
+        if y >= upper:
+            return mp.mpf(0)
+        points = [y + mp.mpf(4)**j / (n * hazard) for j in range(-1, 12)]
+        points = [y] + [t for t in points if t < upper] + [upper]
+        return mp.quad(lambda t: survival(t)**n, points)
+
+
+@settings(max_examples=100, deadline=None)
+@given(family=st.sampled_from(["half_normal", "power_law"]),
+       param=st.floats(min_value=0.0, max_value=1.0),
+       n=st.integers(min_value=1, max_value=10**15),
+       at=st.floats(min_value=-4.0, max_value=3.0),
+       first=st.booleans(),
+       past=st.floats(min_value=0.0, max_value=4.0))
+# n log S is all but straight on [0, 2b]: only the allowance for the rounding
+# of the chord's exponent keeps the chord tail above the tail
+@example(family="half_normal", param=0.0, n=10**15, at=-4.0, first=True, past=1.0)
+def test_chord_tail_bounds_the_tail(family, param, n, at, first, past):
+    # the premise of the tail of a law without a remainder: n log S is
+    # concave, so the chord through the boundary b and the point p before it
+    # (0, or b/4), widened by the rounding of both values, lies above n log S
+    # beyond b, and exp of it bounds the integral of S^n beyond any y >= b
+    k = 1.01 * (20 / 1.01)**param  # log-uniform in [1.01, 20]
+    dist = half_normal() if family == "half_normal" else power_law(k)
+    b = 4.0**at * (1.0 / n if family == "half_normal" else n**(-1.0 / k))  # about the mass
+    assume(b < dist.support_upper)
+    p = 0.0 if first else 0.25 * b
+    p_arg = n * dist.log_survival(p)
+    arg = n * dist.log_survival(b)
+    drop, log_tail, steepest = _chord(p, p_arg, b, arg)
+    assume(drop > 0.0)
+    assert steepest >= drop
+    y = b + past * b
+    tail = _mp_tail(family, k, n, y)
+    with mp.workdps(30):
+        assert tail == 0 or mp.log(tail) <= log_tail - mp.mpf(drop) * (mp.mpf(y) - b) / (b - p)
+
+
+def test_law_without_a_remainder_must_be_log_concave():
+    # without its remainder, the heavy tail's n log S = -n alpha log(1 + y),
+    # which is convex, falls ever more slowly: its second chord shows it, and
+    # a chord would not bound its tail
+    dist = replace(heavy_tail(2.0), log_mean_residual=None)
+    for n in (1, 10, 10**6):
+        with pytest.raises(HypothesisViolatedError) as info:
+            survival_power_integral(dist, n, 1e-10)
+        assert info.value.condition == "log-concave"
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-5, 0.5, 1.0])
@@ -349,6 +408,17 @@ def test_nmin_evaluation_count(n, limit):
     assert len(calls) <= limit
 
 
+def test_power_law_evaluation_count():
+    # the cusp of (1 - y^2.7)^10 at 0 is split at a quarter of the panel,
+    # the grid's own ratio, and the chord tail ends the last panel where
+    # the tail fits: 211 evaluations where midpoint splits and a geometric
+    # tail bound on whole blocks took 336
+    counted, calls = _counting(power_law(2.7))
+    res = survival_power_integral(counted, 10, 1e-13)
+    assert res.converged
+    assert len(calls) <= 230
+
+
 @pytest.mark.parametrize("n", [10**6, 10**12])
 def test_walk_stops_once_the_tail_is_negligible(n):
     # at large n the walk stops once the tail is negligible beside the
@@ -383,6 +453,8 @@ def test_first_boundary_moves_down_to_the_mass(k, n, tol):
 @example(family="heavy_tail", param=0.5, n=2, hn=1, tol=1e-300)
 @example(family="heavy_tail", param=N_ALPHA_108, n=10**15, hn=1, tol=1e-300)
 @example(family="exponential", param=1.0, n=10**15, hn=1, tol=1e-300)  # rate 1e3
+# k = 20: the first chord's rate times the budget underflows to 0, so y* is solved for in logs
+@example(family="power_law", param=1.0, n=552, hn=1, tol=1e-300)
 def test_unreachable_tolerance_ends_in_bounded_work(family, param, n, hn, tol):
     # the rounding noise of the panel estimate lies above 4e-16 of the value,
     # so most panels want splitting: the leaf budget must end the call, and

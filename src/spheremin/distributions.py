@@ -22,7 +22,8 @@ a log_survival within a few eps of its magnitude: the quadrature bounds
 its tail by the chord of n log S through the last two points of its grid,
 starting from (0, 0), which lies above n log S beyond them only then.
 The quadrature raises HypothesisViolatedError with condition
-"log-concave" where its chords show otherwise.
+"log-concave" where its chords, or the panel beyond the last of them,
+show otherwise.
 """
 
 from __future__ import annotations

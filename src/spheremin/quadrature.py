@@ -34,10 +34,11 @@ the walk has evaluated, (p, n log S(p)) and (b, n log S(b)), starting
 from (0, 0), then lies above n log S beyond b: with s the chord's rate of
 fall, int_y^inf S^n <= S(b)^n e^(-s (y - b)) / s for every y >= b.  Each
 value is widened by its rounding, a few eps of its magnitude, and so is
-each term of the exponent.  The walk checks the premise on the points it
-has: a chord that falls more slowly than the one before it, beyond
-rounding, raises HypothesisViolatedError.  A walk that stops at its first
-chord, or a bend that no two chords show, goes unchecked.
+each term of the exponent.  The premise is checked on the points that are
+evaluated anyway: a chord that falls more slowly than the one before it,
+or a K21 value of a panel beyond the last chord's b that lies above it,
+beyond rounding, raises HypothesisViolatedError.  A bend that neither shows
+goes unchecked, as does a walk whose y* is the boundary b itself.
 
 The grid is walked once.  A law without a remainder stops at the least
 y* >= b whose chord tail fits half the tolerance, but not below 1 unless
@@ -63,19 +64,25 @@ divergent or nearly so.
 The panels between consecutive bounds up to y* are integrated by
 QUADPACK's 10/21-point Gauss-Kronrod pair (qk21): 21 evaluations give the
 K21 value and the error estimate |K21 - G10|, one exact sum, so it is not
-a whole number of ulps of the panel's value.  Panels that miss their share
-of the tolerance are bisected, within one budget of leaves per integral,
-so every call does bounded work.  A panel at 0 splits at a quarter
-instead, as the grid does: a cusp y^k at 0, as in the power law, gives a
-panel error that falls as its width^(k+1), so each split of [0, b] cuts it
-by 4^(k+1), not 2^(k+1).  The result is the MinResult that every
-route of minima hands on: its value is the panels' sum plus any exact
-remainder, and it has converged exactly when its error bound, the tail
-plus the panel errors, is within the tolerance.
+a whole number of ulps of the panel's value.  That is the error of G10,
+and mostly far above K21's own, so a panel that misses its share of the
+tolerance is not split at once: Patterson's 22 further nodes extend K21 to
+K43, as QUADPACK's qng does, and |K43 - K21|, the error of the lower rule
+of a nested pair again, decides it.  Panels that miss their share of the
+tolerance at K43 too are bisected, and each half starts again at K21,
+within one budget of leaves per integral, so every call does bounded work.
+A panel at 0 splits at a quarter instead, as the grid does: a cusp y^k at
+0, as in the power law, gives a panel error that falls as its
+width^(k+1), so each split of [0, b] cuts it by 4^(k+1), not 2^(k+1).  The
+result is the MinResult that every route of minima hands on: its value is
+the panels' sum plus any exact remainder, and it has converged exactly
+when its error bound, the tail plus the panel errors, is within the
+tolerance.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import sys
@@ -125,6 +132,53 @@ _WK = _WK_HALF + _WK_HALF[-2::-1]
 _WG = _WG_HALF + _WG_HALF[::-1]
 # K21 - G10 at each node: the Gauss weights sit at the odd indices
 _WD = tuple(w - _WG[i // 2] if i % 2 else w for i, w in enumerate(_WK))
+# Patterson's optimal addition of 22 nodes to qk21 (Math. Comp. 22, 1968), as
+# in QUADPACK's qng: the new nodes, largest first, and the 43 weights of K43
+# in the order of its nodes, largest first, where the 21 Kronrod nodes are
+# those at odd indices
+_XP_HALF = (
+    0.999333360901932081394099323919911,
+    0.987433402908088869795961478381209,
+    0.954807934814266299257919200290473,
+    0.900148695748328293625099494069092,
+    0.825198314983114150847066732588520,
+    0.732148388989304982612354848755461,
+    0.622847970537725238641159120344323,
+    0.499479574071056499952214885499755,
+    0.364901661346580768043989548502644,
+    0.222254919776601296498260928066212,
+    0.074650617461383322043914435796506,
+)
+_W43_HALF = (
+    0.001844477640212414100389106552965,
+    0.005768556059769796184184327908655,
+    0.010798689585891651740465406741293,
+    0.016296734289666564924281974617663,
+    0.021895363867795428102523123075149,
+    0.027371890593248842081276069289151,
+    0.032597463975345689443882222526137,
+    0.037522876120869501461613795898115,
+    0.042163137935191811847627924327955,
+    0.046560826910428830743339154433824,
+    0.050741939600184577780189020092084,
+    0.054694902058255442147212685465005,
+    0.058379395542619248375475369330206,
+    0.061744995201442564496240336030883,
+    0.064746404951445885544689259517511,
+    0.067355414609478086075553166302174,
+    0.069566197912356484528633315038405,
+    0.071387267268693397768559114425516,
+    0.072824441471833208150939535192842,
+    0.073870199632393953432140695251367,
+    0.074507751014175118273571813842889,
+    0.074722147517403005594425168280423,
+)
+_XP = _XP_HALF + tuple(-x for x in _XP_HALF[::-1])
+_W43 = _W43_HALF + _W43_HALF[-2::-1]
+_WP = _W43[0::2]  # at the new nodes, where K21's weight is 0
+_WPK = _W43[1::2]  # at the Kronrod nodes
+# K43 - K21 at the Kronrod nodes
+_WE = tuple(w - wk for w, wk in zip(_WPK, _WK))
 
 _TAIL_RATIO_CAP = 0.95  # per doubling; the grid's blocks span two doublings
 # the rounding of arg = n log S(y), per unit of |arg|, and of an exact
@@ -133,11 +187,13 @@ _TAIL_RATIO_CAP = 0.95  # per doubling; the grid's blocks span two doublings
 # exp where the remainder is subnormal
 _ROUNDING = 8.0 * sys.float_info.epsilon
 _SUBNORMAL_STEP = math.ulp(0.0)
-# leaves (accepted panels) per integral, which bounds the work of any call;
-# the integrals of the benchmark's dist-grid workload need at most 9
-# (seeds 1-10, rounds 0-2; the power law's), the half-normal's at most 5,
-# and those of the laws with an exact remainder at most 3
-_MAX_LEAVES = 1000
+# leaves (accepted panels) per integral, which bounds the work of any call:
+# each panel tried costs at most 43 evaluations, and at most twice as many
+# are tried as are accepted; the integrals of the benchmark's dist-grid
+# workload need at most 5 (seeds 1-10, rounds 0-2; the power law's), the
+# half-normal's at most 3, and those of the laws with an exact remainder at
+# most 2
+_MAX_LEAVES = 500
 # the least first width: positive even when n * f(0) overflows
 _MIN_WIDTH = 2.0**-1022
 # a first panel far wider than the mass lets G10/K21 understate its error
@@ -154,37 +210,55 @@ class MinResult:
     error_bound: Optional[float] = None  # this and the rest None when asymptotic
     converged: Optional[bool] = None  # error_bound <= tol
     truncation_point: Optional[float] = None  # y*, where the panels end
-    panels: Optional[int] = None  # accepted G10/K21 panels
+    panels: Optional[int] = None  # accepted panels, each K21 or K43
 
 
 def _integrate_panel(log_s, n, a, b):
     """One G10/K21 panel: the integrand exp(n * log_s(y)) is evaluated once
     at the 21 Kronrod nodes of [a, b], inline rather than through a closure
-    that would cost a call per node.  Returns the K21 value and the error
-    estimate |K21 - G10|, one exact sum over the weight differences _WD."""
+    that would cost a call per node.  Returns the K21 value, the error
+    estimate |K21 - G10|, one exact sum over the weight differences _WD, and
+    the 21 integrand values."""
     h = 0.5 * (b - a)
     c = 0.5 * (a + b)
     fx = [math.exp(n * log_s(c + h * x)) for x in _XK]
-    return h * math.fsum(map(operator.mul, _WK, fx)), abs(h * math.fsum(map(operator.mul, _WD, fx)))
+    return h * math.fsum(map(operator.mul, _WK, fx)), abs(h * math.fsum(map(operator.mul, _WD, fx))), fx
 
 
-def _integrate_mesh(log_s, n, bounds, loc_tol):
+def _extend_panel(log_s, n, a, b, fx):
+    """K43 on [a, b] from the 21 values fx of its K21 panel and the integrand
+    at Patterson's 22 further nodes.  Returns the K43 value and the error
+    estimate |K43 - K21|, one exact sum."""
+    h = 0.5 * (b - a)
+    c = 0.5 * (a + b)
+    px = [math.exp(n * log_s(c + h * x)) for x in _XP]
+    value = h * math.fsum(itertools.chain(map(operator.mul, _WPK, fx), map(operator.mul, _WP, px)))
+    return value, abs(h * math.fsum(itertools.chain(map(operator.mul, _WE, fx), map(operator.mul, _WP, px))))
+
+
+def _integrate_mesh(log_s, n, bounds, loc_tol, premise):
     """Adaptive bisection of the panels between consecutive bounds of the
     integral of exp(n * log_s(y)).
 
     A panel is accepted when its error is within ``loc_tol`` (halved at
-    each bisection) or at the level of rounding, or when splitting it
-    would take the accepted and pending panels past _MAX_LEAVES; otherwise
-    it is split in two, at its midpoint or, for a panel at 0, at a quarter.
-    Returns (value, error, leaves)."""
+    each bisection) or at the level of rounding.  A panel whose K21 misses
+    that test extends to K43, and is accepted on the same test of
+    |K43 - K21|, or when splitting it would take the accepted and pending
+    panels past _MAX_LEAVES; otherwise it is split in two, at its midpoint
+    or, for a panel at 0, at a quarter, and each half starts again at K21.
+    ``premise``, where not None, is called with each panel's bounds and K21
+    values before they are used.  Returns (value, error, leaves)."""
     values, errors = [], []
     stack = [(a, b, loc_tol) for a, b in zip(bounds, bounds[1:])]
     stack.reverse()  # left to right: a budget that runs out is spent near 0
     while stack:
         a, b, tol = stack.pop()
-        value, err = _integrate_panel(log_s, n, a, b)
-        if (err <= tol or err <= 4e-16 * abs(value)
-                or len(values) + len(stack) + 2 > _MAX_LEAVES):
+        value, err, fx = _integrate_panel(log_s, n, a, b)
+        if premise is not None:
+            premise(a, b, fx)
+        if err > tol and err > 4e-16 * abs(value):
+            value, err = _extend_panel(log_s, n, a, b, fx)
+        if err <= tol or err <= 4e-16 * abs(value) or len(values) + len(stack) + 2 > _MAX_LEAVES:
             values.append(value)
             errors.append(err)
         else:
@@ -193,6 +267,28 @@ def _integrate_mesh(log_s, n, bounds, loc_tol):
             m = 0.25 * b if a == 0.0 else 0.5 * (a + b)
             stack += [(m, b, 0.5 * tol), (a, m, 0.5 * tol)]
     return math.fsum(values), math.fsum(errors), len(values)
+
+
+def _below_chord(name, p, p_arg, b, arg):
+    """The premise of the chord tail through (p, p_arg) and (b, arg), checked
+    on a panel beyond b that is integrated anyway: a concave n log S lies
+    below the chord there, and a bend shows most at the K21 node farthest
+    from b.  Returns a check of a panel [a, c] from its K21 values fx, which
+    raises HypothesisViolatedError where the log of that value, a normal
+    float, lies above the chord by more than the rounding of the three
+    values."""
+    def check(a, c, fx):
+        f = fx[0]  # at the node nearest c
+        if a >= b and f >= sys.float_info.min:
+            t = (0.5 * (a + c) + 0.5 * (c - a) * _XK[0] - b) / (b - p)  # at most 4, since y* <= 4b
+            v = math.log(f)
+            if v - arg - (arg - p_arg) * t > _ROUNDING * (abs(v) + (1.0 + t) * abs(arg) + t * abs(p_arg)):
+                raise HypothesisViolatedError(
+                    "log-concave",
+                    f"{name}: n log survival lies above its chord past {b:g}, "
+                    "so no chord bounds its tail; give the law a log_mean_residual",
+                )
+    return check
 
 
 def _chord(p, p_arg, b, arg):
@@ -216,8 +312,10 @@ def _chord(p, p_arg, b, arg):
 
 
 def _grid(dist: Distribution, n: int, budget: float):
-    """Panel bounds 0, b_0, ..., y*, the tail, and the exact remainder
-    beyond y* (0.0 for a law without one).  The bounds below y* are the
+    """Panel bounds 0, b_0, ..., y*, the tail, the exact remainder beyond
+    y* (0.0 for a law without one), and the check of the chord tail's
+    premise on the panel [b, y*] that _integrate_mesh makes (None where no
+    chord stands before such a panel).  The bounds below y* are the
     boundaries b_k = w0 * 4^k; for a law without a remainder y* may lie
     inside the block after the last of them.  The tail is, by the rules of
     the module docstring, a certified bound on the integral the panels
@@ -248,6 +346,7 @@ def _grid(dist: Distribution, n: int, budget: float):
     log_budget = math.log(budget) if budget > 0.0 else -math.inf
     prev = prev_arg = 0.0  # the block and n log S at the boundary before b
     prev_drop = prev_width = 0.0  # the least fall of the chord before b, and its width
+    premise = None  # the check of the chord tail on the panel beyond its b
     while True:
         block = math.exp(arg + math.log(3.0 * b))  # >= the integral over [b, 4b]
         last = b > sys.float_info.max / 4.0
@@ -293,6 +392,7 @@ def _grid(dist: Distribution, n: int, budget: float):
                         # within the block to a negligible tail
                         y = min(4.0 * b, max(y, reach(log_negligible)))
                         bounds.append(y)
+                        premise = _below_chord(dist.name, p, prev_arg, b, arg)
                     tail = 0.0 if y >= dist.support_upper else math.exp(log_tail - drop * ((y - b) / (b - p)))
                     break
         if last:
@@ -304,7 +404,7 @@ def _grid(dist: Distribution, n: int, budget: float):
         bounds.append(b)
         arg = n * dist.log_survival(b)
     bounds[-1] = min(bounds[-1], dist.support_upper)
-    return bounds, tail, remainder
+    return bounds, tail, remainder, premise
 
 
 def survival_power_integral(dist: Distribution, n: int, tol: float) -> MinResult:
@@ -319,10 +419,10 @@ def survival_power_integral(dist: Distribution, n: int, tol: float) -> MinResult
     if not (isinstance(tol, float) and 0.0 < tol <= 1e-2):
         raise InvalidToleranceError(f"tol must be in (0, 1e-2], got {tol!r}")
 
-    bounds, tail_bound, remainder = _grid(dist, n, 0.5 * tol)
+    bounds, tail_bound, remainder, premise = _grid(dist, n, 0.5 * tol)
     # equal per-panel budget: on a geometric mesh a width-proportional
     # split would starve the panels near 0 where the mass sits
     loc_tol = 0.5 * tol / (len(bounds) - 1)
-    value, panel_error, panels = _integrate_mesh(dist.log_survival, n, bounds, loc_tol)
+    value, panel_error, panels = _integrate_mesh(dist.log_survival, n, bounds, loc_tol, premise)
     error_bound = tail_bound + panel_error
     return MinResult(n, value + remainder, "quadrature", error_bound, error_bound <= tol, bounds[-1], panels)

@@ -273,7 +273,7 @@ class TestPinnedOutput:
                             "--format", "csv"], capsys)
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "17db76ad6f786f3070c06f56dfd115bea15156d701f81bb5d2080ecfe93cf635")
+            "a46d9eb10426d8069deef87832c2463bb713d3d096133f06fcdd3d996f2eff21")
 
     def test_verify_digest(self, capsys):
         code, out, _ = run(["verify", "--seed", "42"], capsys)

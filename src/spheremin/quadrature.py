@@ -7,11 +7,16 @@ that is the one test of underflow.
 One geometric grid carries both the panels and the tail bound.  Its
 boundaries b_k = w0 * 4^k start from a first width w0 on the scale where
 the mass sits: 1/(n f(0)) when the density at 0 is positive, which leaves
-the integrand near e^-4 there, else 1/sqrt(n).  Either moves down by 4
-while n log S there is below _FIRST_PANEL_LOG_FLOOR: the G10/K21 error
-estimate of a first panel far wider than the mass can understate it.
-It stops at _MIN_WIDTH; if the integrand has underflowed even there, the
-panel [0, b_0] may miss the mass, and b_0 joins the tail bound.
+the integrand near e^-4 there, else 1/sqrt(n).  Without a positive f(0)
+that guess can lie far below the mass, as for the power law with k > 2,
+whose first panels then hold a flat integrand: w0 moves up by 4 while n log
+S at 4 w0, within the support, is at least _FIRST_PANEL_LOG_CEILING, and
+the probe where it stops is the next boundary, not evaluated again.  Either
+first width moves down by 4 while n log S there is below
+_FIRST_PANEL_LOG_FLOOR: the G10/K21 error estimate of a first panel far
+wider than the mass can understate it.  It stops at _MIN_WIDTH; if the
+integrand has underflowed even there, the panel [0, b_0] may miss the mass,
+and b_0 joins the tail bound.
 Survival is monotone, so the block [b, 4b] contributes at most
 3b * survival(b)^n.
 
@@ -65,19 +70,29 @@ The panels between consecutive bounds up to y* are integrated by
 QUADPACK's 10/21-point Gauss-Kronrod pair (qk21): 21 evaluations give the
 K21 value and the error estimate |K21 - G10|, one exact sum, so it is not
 a whole number of ulps of the panel's value.  That is the error of G10,
-and mostly far above K21's own, so a panel that misses its share of the
-tolerance is not split at once: Patterson's 22 further nodes extend K21 to
-K43, as QUADPACK's qng does, and |K43 - K21|, the error of the lower rule
-of a nested pair again, decides it.  Panels that miss their share of the
-tolerance at K43 too are bisected, and each half starts again at K21,
-within one budget of leaves per integral, so every call does bounded work.
+and mostly far above K21's own, so a panel that misses its tolerance is
+not split at once: Patterson's 22 further nodes extend K21 to K43, as
+QUADPACK's qng does, and |K43 - K21|, the error of the lower rule of a
+nested pair again, decides it.  Panels that miss their tolerance at K43
+too are bisected, and each half starts again at K21, within one budget of
+leaves per integral, so every call does bounded work.
 A panel at 0 splits at a quarter instead, as the grid does: a cusp y^k at
 0, as in the power law, gives a panel error that falls as its
-width^(k+1), so each split of [0, b] cuts it by 4^(k+1), not 2^(k+1).  The
-result is the MinResult that every route of minima hands on: its value is
-the panels' sum plus any exact remainder, and it has converged exactly
-when its error bound, the tail plus the panel errors, is within the
-tolerance.
+width^(k+1), so each split of [0, b] cuts it by 4^(k+1), not 2^(k+1).
+
+The panels spend one error budget, what the tail leaves of the tolerance,
+from left to right.  Each pending panel holds a share of it, 1 for a panel
+of the grid, halved at each split; the panel taken next may spend its
+share of what is left, and once accepted charges the lesser of its error
+and that tolerance, so that what it leaves unused passes on to the panels
+after it.  No panel's tolerance exceeds _RESOLUTION of b_0 S(b_0)^n, the
+lower bound on the value, where that is a normal float: at the cliff
+e^(-n y^k) of the power law, K21 and G10 err alike and their difference
+can understate the error, so an estimate is trusted only once it is small
+beside the value.  The result is the MinResult that every route of minima
+hands on: its value is the panels' sum plus any exact remainder, and it
+has converged exactly when its error bound, the tail plus the panel
+errors, is within the tolerance.
 """
 
 from __future__ import annotations
@@ -190,7 +205,7 @@ _SUBNORMAL_STEP = math.ulp(0.0)
 # leaves (accepted panels) per integral, which bounds the work of any call:
 # each panel tried costs at most 43 evaluations, and at most twice as many
 # are tried as are accepted; the integrals of the benchmark's dist-grid
-# workload need at most 5 (seeds 1-10, rounds 0-2; the power law's), the
+# workload need at most 4 (seeds 1-10, rounds 0-2; the power law's), the
 # half-normal's at most 3, and those of the laws with an exact remainder at
 # most 2
 _MAX_LEAVES = 500
@@ -198,6 +213,14 @@ _MAX_LEAVES = 500
 _MIN_WIDTH = 2.0**-1022
 # a first panel far wider than the mass lets G10/K21 understate its error
 _FIRST_PANEL_LOG_FLOOR = -8.0
+# a law without a positive f(0) widens its first panel while the integrand
+# stays above e^-1 at 4 b_0: panels on which it is that flat waste their
+# evaluations
+_FIRST_PANEL_LOG_CEILING = -1.0
+# no panel's tolerance exceeds this much of b_0 S(b_0)^n, a lower bound on
+# the value: a panel error estimate is trusted only once it is small beside
+# the value, which an estimate at the cliff e^(-n y^k) can otherwise not be
+_RESOLUTION = 2.0**-27
 # a tail this far below a lower bound on the value cannot move its rounding
 _NEGLIGIBLE_TAIL = 2.0**-60
 
@@ -236,23 +259,32 @@ def _extend_panel(log_s, n, a, b, fx):
     return value, abs(h * math.fsum(itertools.chain(map(operator.mul, _WE, fx), map(operator.mul, _WP, px))))
 
 
-def _integrate_mesh(log_s, n, bounds, loc_tol, premise):
+def _integrate_mesh(log_s, n, bounds, budget, cap, premise):
     """Adaptive bisection of the panels between consecutive bounds of the
     integral of exp(n * log_s(y)).
 
-    A panel is accepted when its error is within ``loc_tol`` (halved at
-    each bisection) or at the level of rounding.  A panel whose K21 misses
-    that test extends to K43, and is accepted on the same test of
+    The panels spend one error ``budget`` from left to right.  Each pending
+    panel holds a share of it, 1 for a panel between bounds, halved at each
+    bisection, and the panel taken next gets its share of what is left, or
+    all of it if it is the last, but never more than ``cap``.  A panel is
+    accepted when its error is within that tolerance or at the level of
+    rounding, and charges the lesser of the two to the budget, so that what
+    it leaves unused passes on to the panels after it.  A panel whose K21
+    misses that test extends to K43, and is accepted on the same test of
     |K43 - K21|, or when splitting it would take the accepted and pending
     panels past _MAX_LEAVES; otherwise it is split in two, at its midpoint
     or, for a panel at 0, at a quarter, and each half starts again at K21.
     ``premise``, where not None, is called with each panel's bounds and K21
     values before they are used.  Returns (value, error, leaves)."""
     values, errors = [], []
-    stack = [(a, b, loc_tol) for a, b in zip(bounds, bounds[1:])]
+    stack = [(a, b, 1.0) for a, b in zip(bounds, bounds[1:])]
     stack.reverse()  # left to right: a budget that runs out is spent near 0
+    left, pending = budget, float(len(stack))  # the budget left, and the pending panels' shares
     while stack:
-        a, b, tol = stack.pop()
+        a, b, share = stack.pop()
+        # the last pending panel takes all that is left, however the sum of
+        # the shares has rounded
+        tol = min(cap, left * share / pending if stack else left)
         value, err, fx = _integrate_panel(log_s, n, a, b)
         if premise is not None:
             premise(a, b, fx)
@@ -261,11 +293,13 @@ def _integrate_mesh(log_s, n, bounds, loc_tol, premise):
         if err <= tol or err <= 4e-16 * abs(value) or len(values) + len(stack) + 2 > _MAX_LEAVES:
             values.append(value)
             errors.append(err)
+            left -= min(err, tol)
+            pending -= share
         else:
             # b/4 carries the grid's ratio on toward 0, where a cusp y^k
             # makes the panel error fall as b^(k+1)
             m = 0.25 * b if a == 0.0 else 0.5 * (a + b)
-            stack += [(m, b, 0.5 * tol), (a, m, 0.5 * tol)]
+            stack += [(m, b, 0.5 * share), (a, m, 0.5 * share)]
     return math.fsum(values), math.fsum(errors), len(values)
 
 
@@ -313,35 +347,40 @@ def _chord(p, p_arg, b, arg):
 
 def _grid(dist: Distribution, n: int, budget: float):
     """Panel bounds 0, b_0, ..., y*, the tail, the exact remainder beyond
-    y* (0.0 for a law without one), and the check of the chord tail's
-    premise on the panel [b, y*] that _integrate_mesh makes (None where no
-    chord stands before such a panel).  The bounds below y* are the
-    boundaries b_k = w0 * 4^k; for a law without a remainder y* may lie
-    inside the block after the last of them.  The tail is, by the rules of
-    the module docstring, a certified bound on the integral the panels
-    cannot see beyond y*, or the rounding of the remainder, plus the mass
-    below b_0 if the integrand has underflowed there.  A law without a
-    remainder stops at the least y* that its chord tail lets fit
-    ``budget`` with y* >= 1 or a tail negligible beside b_0 S(b_0)^n, once
-    that y* lies within the block ahead, or once the block and the
-    integrand underflow.  A law with a remainder stops instead once the
-    ratio passes at 4 y* and the remainder's rounding fits ``budget``;
-    that look-ahead boundary is dropped from the bounds.  Raises
-    HypothesisViolatedError where the chords show a law without a
-    remainder not to be log-concave, and NonConvergentError at the
-    largest floats without a tail."""
+    y* (0.0 for a law without one), b_0 S(b_0)^n, a lower bound on the
+    value, and the check of the chord tail's premise on the panel [b, y*]
+    that _integrate_mesh makes (None where no chord stands before such a
+    panel).  The bounds below y* are the boundaries b_k = w0 * 4^k; for a
+    law without a remainder y* may lie inside the block after the last of
+    them.  The tail is, by the rules of the module docstring, a certified
+    bound on the integral the panels cannot see beyond y*, or the rounding
+    of the remainder, plus the mass below b_0 if the integrand has
+    underflowed there.  A law without a remainder stops at the least y*
+    that its chord tail lets fit ``budget`` with y* >= 1 or a tail
+    negligible beside b_0 S(b_0)^n, once that y* lies within the block
+    ahead, or once the block and the integrand underflow.  A law with a
+    remainder stops instead once the ratio passes at 4 y* and the
+    remainder's rounding fits ``budget``; that look-ahead boundary is
+    dropped from the bounds.  Raises HypothesisViolatedError where the
+    chords show a law without a remainder not to be log-concave, and
+    NonConvergentError at the largest floats without a tail."""
     f0 = dist.density_at_zero
-    if f0 is not None and math.isfinite(f0) and f0 > 0.0:
-        w0 = min(1.0, 4.0 / (n * f0 + 1.0))
-    else:
-        w0 = 1.0 / math.sqrt(n)
-    b = max(w0, _MIN_WIDTH)
+    positive = f0 is not None and math.isfinite(f0) and f0 > 0.0
+    b = max(min(1.0, 4.0 / (n * f0 + 1.0)) if positive else 1.0 / math.sqrt(n), _MIN_WIDTH)
     arg = n * dist.log_survival(b)
+    ahead = None  # n log S(4b), where the walk up has probed it
+    top = min(dist.support_upper, sys.float_info.max)
+    while not positive and arg >= _FIRST_PANEL_LOG_CEILING and 4.0 * b <= top:
+        ahead = n * dist.log_survival(4.0 * b)
+        if ahead < _FIRST_PANEL_LOG_CEILING:
+            break
+        b, arg, ahead = 4.0 * b, ahead, None
     while arg < _FIRST_PANEL_LOG_FLOOR and b > _MIN_WIDTH:
         b = max(0.25 * b, _MIN_WIDTH)
         arg = n * dist.log_survival(b)
     bounds = [0.0, b]
     # S is monotone, so b_0 S(b_0)^n <= the integral over [0, b_0] <= the value
+    least = math.exp(math.log(b) + arg)
     log_negligible = math.log(_NEGLIGIBLE_TAIL) + math.log(b) + arg
     log_budget = math.log(budget) if budget > 0.0 else -math.inf
     prev = prev_arg = 0.0  # the block and n log S at the boundary before b
@@ -402,9 +441,10 @@ def _grid(dist: Distribution, n: int, budget: float):
             )
         prev, prev_arg, b = block, arg, 4.0 * b
         bounds.append(b)
-        arg = n * dist.log_survival(b)
+        arg = n * dist.log_survival(b) if ahead is None else ahead
+        ahead = None
     bounds[-1] = min(bounds[-1], dist.support_upper)
-    return bounds, tail, remainder, premise
+    return bounds, tail, remainder, least, premise
 
 
 def survival_power_integral(dist: Distribution, n: int, tol: float) -> MinResult:
@@ -419,10 +459,13 @@ def survival_power_integral(dist: Distribution, n: int, tol: float) -> MinResult
     if not (isinstance(tol, float) and 0.0 < tol <= 1e-2):
         raise InvalidToleranceError(f"tol must be in (0, 1e-2], got {tol!r}")
 
-    bounds, tail_bound, remainder, premise = _grid(dist, n, 0.5 * tol)
-    # equal per-panel budget: on a geometric mesh a width-proportional
-    # split would starve the panels near 0 where the mass sits
-    loc_tol = 0.5 * tol / (len(bounds) - 1)
-    value, panel_error, panels = _integrate_mesh(dist.log_survival, n, bounds, loc_tol, premise)
+    bounds, tail_bound, remainder, least, premise = _grid(dist, n, 0.5 * tol)
+    # one budget, what the tail leaves of tol, spent from left to right in
+    # equal shares per panel of the grid, since shares in proportion to
+    # width would starve the panels near 0 where the mass sits; a subnormal
+    # lower bound on the value has no resolution to cap them with
+    budget = max(tol - tail_bound, 0.0)
+    cap = _RESOLUTION * least if least >= sys.float_info.min else math.inf
+    value, panel_error, panels = _integrate_mesh(dist.log_survival, n, bounds, budget, cap, premise)
     error_bound = tail_bound + panel_error
     return MinResult(n, value + remainder, "quadrature", error_bound, error_bound <= tol, bounds[-1], panels)

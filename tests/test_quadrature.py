@@ -19,6 +19,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from spheremin.distributions import exponential, half_normal, heavy_tail, power_law, uniform01
 from spheremin.errors import HypothesisViolatedError, InvalidToleranceError, NonConvergentError
+from spheremin import quadrature
 from spheremin.minima import asymptotic_min, emin, expected_min, nmin
 from spheremin.quadrature import _W43, _WD, _WE, _WG, _WK, _WP, _XK, _XP, _chord, survival_power_integral
 from spheremin.special import gamma_ratio
@@ -218,6 +219,37 @@ def test_underflow_at_the_least_first_width_is_not_converged():
     assert res.converged is False
     assert res.error_bound >= 1e-315
     assert len(calls) == 22  # the first boundary and one panel, as before
+
+
+def test_subnormal_lower_bound_sets_no_cap():
+    # b_0 S(b_0)^n, the lower bound on the value 1e-309 that caps each
+    # panel's tolerance, is subnormal here: a cap of 2^-27 of it would ask
+    # the one panel for a resolution the subnormals do not have, split it
+    # (45 evaluations) and move the value by one subnormal step
+    counted, calls = _counting(exponential(1e300))
+    res = survival_power_integral(counted, 10**9, 1e-10)
+    assert res.value == 1e-309
+    assert res.converged
+    assert len(calls) == 23
+
+
+def test_last_panel_takes_all_the_budget_left(monkeypatch):
+    # a first panel split 60 levels deep about 1/3 leaves the float sum of
+    # the pending shares above the last panel's share of 1; that panel still
+    # gets all of the budget left, so its error of exactly that is accepted,
+    # where a tolerance of its share of the drifted sum would be split until
+    # _MAX_LEAVES
+    budget = 1e-3
+
+    def panel(log_s, n, a, b):
+        err = 1.0 if a < 1 / 3 < b and b - a > 2.0**-60 else (budget if a == 3.0 else 0.0)
+        return b - a, err, None
+
+    monkeypatch.setattr(quadrature, "_integrate_panel", panel)
+    monkeypatch.setattr(quadrature, "_extend_panel", lambda log_s, n, a, b, fx: panel(log_s, n, a, b)[:2])
+    value, error, leaves = quadrature._integrate_mesh(None, 1, [0.0, 1.0, 2.0, 3.0, 4.0], budget, math.inf, None)
+    assert (value, error) == (4.0, budget)
+    assert leaves < 100
 
 
 @settings(max_examples=200, deadline=None)
@@ -494,6 +526,47 @@ def test_power_law_evaluation_count():
     res = survival_power_integral(counted, 10, 1e-13)
     assert res.converged
     assert len(calls) <= 160
+
+
+@pytest.mark.parametrize("k,n,tol,limit", [(3, 10**6, 1e-10, 90), (3, 10**9, 1e-10, 90), (4, 10**6, 1e-13, 112)])
+def test_first_boundary_moves_up_to_the_mass(k, n, tol, limit):
+    # power_law(k > 2) has its mass near n^(-1/k), far above the first guess
+    # 1/sqrt(n), where n log S is -0.001 (k = 3, n = 10^6): the first width
+    # walks up while the integrand stays above e^-1 at the next boundary,
+    # where two or three flat panels took 110, 132 and 153 evaluations
+    dist, exact = _exact("power_law", k, n)
+    counted, calls = _counting(dist)
+    res = survival_power_integral(counted, n, tol)
+    assert res.converged
+    _assert_honest(res, exact)
+    assert len(calls) <= limit
+
+
+@pytest.mark.parametrize("k,n,tol", [(13.845779336307475, 1151337801, 6.481182917058046e-4),
+                                     (16.57374962235587, 537714, 6.1287421224814285e-06),
+                                     (16.069916549010593, 17264937280, 9.77443227830453e-4)])
+def test_panel_error_at_the_cliff_is_bounded(k, n, tol):
+    # at the cliff e^(-n y^k), K21 and G10 (or K43 and K21) err alike, so
+    # their difference can understate a panel's error: equal shares of half
+    # the tol left the first two 4.2x and 2.2x over their bounds, and one
+    # budget spent left to right without a cap leaves the third 1.1x over.
+    # The cap of each panel's tolerance at 2^-27 of b_0 S(b_0)^n, a lower
+    # bound on the value, trusts an estimate only once it is small beside
+    # the value
+    dist, exact = _exact("power_law", k, n)
+    res = survival_power_integral(dist, n, tol)
+    assert res.converged
+    _assert_honest(res, exact)
+
+
+def test_value_below_the_tolerance_is_accurate_relative_to_itself():
+    # the value 2.3e-10 of power_law(1.25) at n = 10^12 is about twice the
+    # tol: a bound within tol allowed an error of 3e-7 of it, where the cap
+    # of each panel's tolerance at 2^-27 of b_0 S(b_0)^n keeps it within 1e-12
+    dist, exact = _exact("power_law", 1.25, 10**12)
+    res = survival_power_integral(dist, 10**12, 1e-10)
+    assert res.converged
+    assert abs(res.value - exact) <= 1e-12 * exact
 
 
 @pytest.mark.parametrize("n", [10**6, 10**12])

@@ -1,17 +1,20 @@
 """Expected minima of iid nonnegative variables.
 
-Two routes everywhere: exact survival-power quadrature and the
-large-n asymptotic 1/(f(0)(n+1)).  The half-normal specializations give
-the mean smallest coordinate magnitude on the sphere via the gamma
-half-ratio prefactor; the sphere's large-n law is that prefactor times
-asymptotic_min(half_normal(), n).  Every route returns the quadrature's
-MinResult; the asymptotic route fills only its n, value and method.
+Two routes where the density at 0 is positive: exact survival-power
+quadrature and the large-n asymptotic 1/(f(0)(n+1)); a law with f(0) = 0,
+such as the power law, has only the quadrature.  The half-normal
+specializations give the mean smallest coordinate magnitude on the sphere
+via the gamma half-ratio prefactor; the sphere's large-n law is that
+prefactor times asymptotic_min(half_normal(), n).  Every route returns
+the quadrature's MinResult; the asymptotic route fills only its n, value
+and method.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 
 from .distributions import Distribution, half_normal
 from .errors import HypothesisViolatedError, _check_int
@@ -37,12 +40,16 @@ def emin(n: int, tol: float = DEFAULT_TOL) -> MinResult:
 
     Equals Gamma(n/2)/Gamma((n+1)/2) times the half-normal expected
     minimum; min|x_i| is 1-homogeneous, so the transfer factor is exact.
-    The value and bound are nmin's scaled by that factor; the truncation
-    point and panels are those of nmin's half-normal integral.
+    The value and bound are nmin's scaled by that factor, and the bound also
+    carries the factor's rounding, within 3 eps relative, and that of the
+    product; the truncation point and panels are those of nmin's
+    half-normal integral.
     """
     base = nmin(n, tol)
     factor = gamma_ratio(n, 1)
-    return dataclasses.replace(base, value=factor * base.value, error_bound=factor * base.error_bound)
+    value = factor * base.value
+    error_bound = factor * base.error_bound + 3.5 * sys.float_info.epsilon * value
+    return dataclasses.replace(base, value=value, error_bound=error_bound, converged=error_bound <= tol)
 
 
 def asymptotic_min(dist: Distribution, n: int) -> MinResult:

@@ -39,11 +39,13 @@ the walk has evaluated, (p, n log S(p)) and (b, n log S(b)), starting
 from (0, 0), then lies above n log S beyond b: with s the chord's rate of
 fall, int_y^inf S^n <= S(b)^n e^(-s (y - b)) / s for every y >= b.  Each
 value is widened by its rounding, a few eps of its magnitude, and so is
-each term of the exponent.  The premise is checked on the points that are
-evaluated anyway: a chord that falls more slowly than the one before it,
-or a K21 value of a panel beyond the last chord's b that lies above it,
-beyond rounding, raises HypothesisViolatedError.  A bend that neither shows
-goes unchecked, as does a walk whose y* is the boundary b itself.
+each term of the exponent.  One test checks the premise on points that
+are evaluated anyway: each new boundary against the chord before it, and
+the K21 value nearest the right end of a panel beyond the last chord's b,
+whose log also carries the eps/2 by which exp rounds.  A point above the
+chord, extended past its b, by more than the rounding of the three values
+raises HypothesisViolatedError.  A bend that neither shows goes
+unchecked, as does a walk whose y* is the boundary b itself.
 
 The grid is walked once.  A law without a remainder stops at the least
 y* >= b whose chord tail fits half the tolerance, but not below 1 unless
@@ -66,16 +68,21 @@ raises NonConvergentError: its blocks show too little decay (for the
 heavy tail, exactly when n * alpha <= 1.074), so the expected minimum is
 divergent or nearly so.
 
-The panels between consecutive bounds up to y* are integrated by
-QUADPACK's 10/21-point Gauss-Kronrod pair (qk21): 21 evaluations give the
-K21 value and the error estimate |K21 - G10|, one exact sum, so it is not
-a whole number of ulps of the panel's value.  That is the error of G10,
-and mostly far above K21's own, so a panel that misses its tolerance is
-not split at once: Patterson's 22 further nodes extend K21 to K43, as
-QUADPACK's qng does, and |K43 - K21|, the error of the lower rule of a
-nested pair again, decides it.  Panels that miss their tolerance at K43
-too are bisected, and each half starts again at K21, within one budget of
-leaves per integral, so every call does bounded work.
+The panels between consecutive bounds up to y* are integrated by one
+nested sequence of rules, G10, K21 and K43: QUADPACK's 10/21-point
+Gauss-Kronrod pair (qk21) and Patterson's 22 further nodes, as QUADPACK's
+qng adds them.  Each rule reuses the values of the rules before it, and
+its error estimate is its difference from the rule before, |K21 - G10| or
+|K43 - K21|, one exact sum, so it is not a whole number of ulps of the
+panel's value.  That is the error of the rule before, mostly far above
+the rule's own, so a panel that misses its tolerance at K21 is not split
+at once but goes on to K43.  Not so at a cusp y^alpha, alpha > 1, as at 0
+where f(0) = 0: each rule's error falls only as its nodes^-(2 alpha + 2),
+and where K21's crosses zero (near alpha = 2.022), |K43 - K21| understates
+K43's.  There K43's error is at least _CUSP_RATIO |K21 - G10|, above
+their largest ratio on x^alpha, 3.0e-4 as alpha -> 1.  A panel that misses
+the tolerance at K43 too is bisected, and each half starts again at K21,
+within one budget of leaves per integral, so every call does bounded work.
 A panel at 0 splits at a quarter instead, as the grid does: a cusp y^k at
 0, as in the power law, gives a panel error that falls as its
 width^(k+1), so each split of [0, b] cuts it by 4^(k+1), not 2^(k+1).
@@ -97,7 +104,6 @@ errors, is within the tolerance.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import sys
@@ -145,8 +151,6 @@ _WG_HALF = (
 _XK = _XK_HALF + tuple(-x for x in _XK_HALF[-2::-1])
 _WK = _WK_HALF + _WK_HALF[-2::-1]
 _WG = _WG_HALF + _WG_HALF[::-1]
-# K21 - G10 at each node: the Gauss weights sit at the odd indices
-_WD = tuple(w - _WG[i // 2] if i % 2 else w for i, w in enumerate(_WK))
 # Patterson's optimal addition of 22 nodes to qk21 (Math. Comp. 22, 1968), as
 # in QUADPACK's qng: the new nodes, largest first, and the 43 weights of K43
 # in the order of its nodes, largest first, where the 21 Kronrod nodes are
@@ -190,10 +194,14 @@ _W43_HALF = (
 )
 _XP = _XP_HALF + tuple(-x for x in _XP_HALF[::-1])
 _W43 = _W43_HALF + _W43_HALF[-2::-1]
-_WP = _W43[0::2]  # at the new nodes, where K21's weight is 0
-_WPK = _W43[1::2]  # at the Kronrod nodes
-# K43 - K21 at the Kronrod nodes
-_WE = tuple(w - wk for w, wk in zip(_WPK, _WK))
+# The nested rules K21 and K43, one row each: the nodes a rule adds, its
+# weights and those of its difference from the rule before, over the values
+# of the rules before it followed by those at its new nodes.  G10 reads the
+# Kronrod values at odd indices, and K43 weighs them by its odd-index weights
+_RULES = (
+    (_XK, _WK, tuple(w - _WG[i // 2] if i % 2 else w for i, w in enumerate(_WK))),
+    (_XP, _W43[1::2] + _W43[0::2], tuple(w - wk for w, wk in zip(_W43[1::2], _WK)) + _W43[0::2]),
+)
 
 _TAIL_RATIO_CAP = 0.95  # per doubling; the grid's blocks span two doublings
 # the rounding of arg = n log S(y), per unit of |arg|, and of an exact
@@ -223,6 +231,8 @@ _FIRST_PANEL_LOG_CEILING = -1.0
 _RESOLUTION = 2.0**-27
 # a tail this far below a lower bound on the value cannot move its rounding
 _NEGLIGIBLE_TAIL = 2.0**-60
+# K43's error on a cusp x^alpha at 0, alpha > 1, per unit of |K21 - G10|
+_CUSP_RATIO = 3.1e-4
 
 
 @dataclass(frozen=True)
@@ -236,32 +246,21 @@ class MinResult:
     panels: Optional[int] = None  # accepted panels, each K21 or K43
 
 
-def _integrate_panel(log_s, n, a, b):
-    """One G10/K21 panel: the integrand exp(n * log_s(y)) is evaluated once
-    at the 21 Kronrod nodes of [a, b], inline rather than through a closure
-    that would cost a call per node.  Returns the K21 value, the error
-    estimate |K21 - G10|, one exact sum over the weight differences _WD, and
-    the 21 integrand values."""
+def _rule(log_s, n, a, b, nodes, weights, diffs, fx):
+    """One rule of _RULES on [a, b]: the integrand exp(n * log_s(y)) is
+    evaluated at the nodes the rule adds, inline rather than through a
+    closure that would cost a call per node, after the values fx of the
+    rules before it.  Returns the rule's value, the error estimate |this
+    rule - the rule before|, one exact sum, and all the values."""
     h = 0.5 * (b - a)
     c = 0.5 * (a + b)
-    fx = [math.exp(n * log_s(c + h * x)) for x in _XK]
-    return h * math.fsum(map(operator.mul, _WK, fx)), abs(h * math.fsum(map(operator.mul, _WD, fx))), fx
+    fx = fx + [math.exp(n * log_s(c + h * x)) for x in nodes]
+    return h * math.fsum(map(operator.mul, weights, fx)), abs(h * math.fsum(map(operator.mul, diffs, fx))), fx
 
 
-def _extend_panel(log_s, n, a, b, fx):
-    """K43 on [a, b] from the 21 values fx of its K21 panel and the integrand
-    at Patterson's 22 further nodes.  Returns the K43 value and the error
-    estimate |K43 - K21|, one exact sum."""
-    h = 0.5 * (b - a)
-    c = 0.5 * (a + b)
-    px = [math.exp(n * log_s(c + h * x)) for x in _XP]
-    value = h * math.fsum(itertools.chain(map(operator.mul, _WPK, fx), map(operator.mul, _WP, px)))
-    return value, abs(h * math.fsum(itertools.chain(map(operator.mul, _WE, fx), map(operator.mul, _WP, px))))
-
-
-def _integrate_mesh(log_s, n, bounds, budget, cap, premise):
+def _integrate_mesh(dist, n, bounds, budget, cap, chord):
     """Adaptive bisection of the panels between consecutive bounds of the
-    integral of exp(n * log_s(y)).
+    integral of exp(n * dist.log_survival(y)).
 
     The panels spend one error ``budget`` from left to right.  Each pending
     panel holds a share of it, 1 for a panel between bounds, halved at each
@@ -272,10 +271,15 @@ def _integrate_mesh(log_s, n, bounds, budget, cap, premise):
     it leaves unused passes on to the panels after it.  A panel whose K21
     misses that test extends to K43, and is accepted on the same test of
     |K43 - K21|, or when splitting it would take the accepted and pending
-    panels past _MAX_LEAVES; otherwise it is split in two, at its midpoint
-    or, for a panel at 0, at a quarter, and each half starts again at K21.
-    ``premise``, where not None, is called with each panel's bounds and K21
-    values before they are used.  Returns (value, error, leaves)."""
+    panels past _MAX_LEAVES (at 0 where f(0) = 0, K43's error is at least
+    _CUSP_RATIO |K21 - G10|, as the module docstring says); otherwise it is
+    split in two, at its midpoint or, for a panel at 0, at a quarter, and
+    each half starts again at K21.
+    A panel beyond the b of ``chord``, where not None, checks it with the
+    K21 value at its node nearest its right end, a normal float, where a
+    bend shows most.  Returns (value, error, leaves)."""
+    log_s = dist.log_survival
+    cusp = dist.density_at_zero == 0.0
     values, errors = [], []
     stack = [(a, b, 1.0) for a, b in zip(bounds, bounds[1:])]
     stack.reverse()  # left to right: a budget that runs out is spent near 0
@@ -285,11 +289,16 @@ def _integrate_mesh(log_s, n, bounds, budget, cap, premise):
         # the last pending panel takes all that is left, however the sum of
         # the shares has rounded
         tol = min(cap, left * share / pending if stack else left)
-        value, err, fx = _integrate_panel(log_s, n, a, b)
-        if premise is not None:
-            premise(a, b, fx)
+        value, err, fx = _rule(log_s, n, a, b, *_RULES[0], [])
+        if chord is not None and a >= chord[2] and fx[0] >= sys.float_info.min:
+            # the log of a rounded exp is off by up to eps/2 even where the
+            # exp rounds to 1 and the log to 0
+            _check_chord(dist.name, chord, 0.5 * (a + b) + 0.5 * (b - a) * _XK[0], math.log(fx[0]), 1.0)
         if err > tol and err > 4e-16 * abs(value):
-            value, err = _extend_panel(log_s, n, a, b, fx)
+            coarse = err
+            value, err, fx = _rule(log_s, n, a, b, *_RULES[1], fx)
+            if a == 0.0 and cusp:
+                err = max(err, _CUSP_RATIO * coarse)
         if err <= tol or err <= 4e-16 * abs(value) or len(values) + len(stack) + 2 > _MAX_LEAVES:
             values.append(value)
             errors.append(err)
@@ -303,67 +312,62 @@ def _integrate_mesh(log_s, n, bounds, budget, cap, premise):
     return math.fsum(values), math.fsum(errors), len(values)
 
 
-def _below_chord(name, p, p_arg, b, arg):
-    """The premise of the chord tail through (p, p_arg) and (b, arg), checked
-    on a panel beyond b that is integrated anyway: a concave n log S lies
-    below the chord there, and a bend shows most at the K21 node farthest
-    from b.  Returns a check of a panel [a, c] from its K21 values fx, which
-    raises HypothesisViolatedError where the log of that value, a normal
-    float, lies above the chord by more than the rounding of the three
-    values."""
-    def check(a, c, fx):
-        f = fx[0]  # at the node nearest c
-        if a >= b and f >= sys.float_info.min:
-            t = (0.5 * (a + c) + 0.5 * (c - a) * _XK[0] - b) / (b - p)  # at most 4, since y* <= 4b
-            v = math.log(f)
-            if v - arg - (arg - p_arg) * t > _ROUNDING * (abs(v) + (1.0 + t) * abs(arg) + t * abs(p_arg)):
-                raise HypothesisViolatedError(
-                    "log-concave",
-                    f"{name}: n log survival lies above its chord past {b:g}, "
-                    "so no chord bounds its tail; give the law a log_mean_residual",
-                )
-    return check
+def _check_chord(name, chord, y, v, slack):
+    """The premise of the chord tail: a concave n log S lies below its chord
+    through (p, p_arg) and (b, arg) = ``chord``, extended past b.  Raises
+    HypothesisViolatedError where the point (y, v), y >= b, lies above it by
+    more than the rounding of the three values, that of v being _ROUNDING
+    times |v| + ``slack``."""
+    p, p_arg, b, arg = chord
+    t = (y - b) / (b - p)
+    if v - arg - (arg - p_arg) * t > _ROUNDING * (abs(v) + slack + (1.0 + t) * abs(arg) + t * abs(p_arg)):
+        raise HypothesisViolatedError(
+            "log-concave",
+            f"{name}: n log survival lies above its chord past {b:g}, "
+            "so no chord bounds its tail; give the law a log_mean_residual",
+        )
 
 
 def _chord(p, p_arg, b, arg):
     """The chord of n log S through (p, p_arg) and (b, arg), each value
-    widened by its rounding.  Returns (drop, log_tail, steepest): drop is
-    the least fall from p to b that the two values allow; where it is
-    positive, a log-concave S has n log S(y) <= arg + its rounding -
-    drop (y - b) / (b - p) at y >= b, so that
-    int_y^inf S^n <= exp(log_tail - drop (y - b) / (b - p)).  steepest is
-    the greatest fall that they allow.  Falls are kept over their widths,
-    not as rates per unit, which overflow where b is near _MIN_WIDTH."""
+    widened by its rounding.  Returns (drop, log_tail): drop is the least
+    fall from p to b that the two values allow; where it is positive, a
+    log-concave S has n log S(y) <= arg + its rounding - drop (y - b) /
+    (b - p) at y >= b, so that
+    int_y^inf S^n <= exp(log_tail - drop (y - b) / (b - p)).  The fall is
+    kept over its width, not as a rate per unit, which overflows where b is
+    near _MIN_WIDTH."""
     spread = _ROUNDING * (abs(p_arg) + abs(arg))
     drop = p_arg - arg - spread
     if drop <= 0.0:
-        return drop, math.inf, drop + 2.0 * spread
+        return drop, math.inf
     log_drop, log_width = math.log(drop), math.log(b - p)
     # exp magnifies the rounding of its argument: that of arg, and that of
     # each term of the exponent log_tail - drop (y - b) / (b - p), y <= 4b
     log_tail = arg - log_drop + log_width + spread + _ROUNDING * (abs(arg) + abs(log_drop) + abs(log_width))
-    return drop, log_tail, drop + 2.0 * spread
+    return drop, log_tail
 
 
 def _grid(dist: Distribution, n: int, budget: float):
     """Panel bounds 0, b_0, ..., y*, the tail, the exact remainder beyond
     y* (0.0 for a law without one), b_0 S(b_0)^n, a lower bound on the
-    value, and the check of the chord tail's premise on the panel [b, y*]
-    that _integrate_mesh makes (None where no chord stands before such a
-    panel).  The bounds below y* are the boundaries b_k = w0 * 4^k; for a
-    law without a remainder y* may lie inside the block after the last of
-    them.  The tail is, by the rules of the module docstring, a certified
-    bound on the integral the panels cannot see beyond y*, or the rounding
-    of the remainder, plus the mass below b_0 if the integrand has
-    underflowed there.  A law without a remainder stops at the least y*
-    that its chord tail lets fit ``budget`` with y* >= 1 or a tail
-    negligible beside b_0 S(b_0)^n, once that y* lies within the block
-    ahead, or once the block and the integrand underflow.  A law with a
-    remainder stops instead once the ratio passes at 4 y* and the
-    remainder's rounding fits ``budget``; that look-ahead boundary is
-    dropped from the bounds.  Raises HypothesisViolatedError where the
-    chords show a law without a remainder not to be log-concave, and
-    NonConvergentError at the largest floats without a tail."""
+    value, and the chord (p, n log S(p), b, n log S(b)) before the panel
+    [b, y*], which _integrate_mesh checks on that panel (None where no
+    chord stands before such a panel).  The bounds below y* are the
+    boundaries b_k = w0 * 4^k; for a law without a remainder y* may lie
+    inside the block after the last of them.  The tail is, by the rules of
+    the module docstring, a certified bound on the integral the panels
+    cannot see beyond y*, or the rounding of the remainder, plus the mass
+    below b_0 if the integrand has underflowed there.  A law without a
+    remainder stops at the least y* that its chord tail lets fit ``budget``
+    with y* >= 1 or a tail negligible beside b_0 S(b_0)^n, once that y*
+    lies within the block ahead, or once the block and the integrand
+    underflow.  A law with a remainder stops instead once the ratio passes
+    at 4 y* and the remainder's rounding fits ``budget``; that look-ahead
+    boundary is dropped from the bounds.  Raises HypothesisViolatedError
+    where a boundary of a law without a remainder lies above the chord
+    before it, and NonConvergentError at the largest floats without a
+    tail."""
     f0 = dist.density_at_zero
     positive = f0 is not None and math.isfinite(f0) and f0 > 0.0
     b = max(min(1.0, 4.0 / (n * f0 + 1.0)) if positive else 1.0 / math.sqrt(n), _MIN_WIDTH)
@@ -384,8 +388,7 @@ def _grid(dist: Distribution, n: int, budget: float):
     log_negligible = math.log(_NEGLIGIBLE_TAIL) + math.log(b) + arg
     log_budget = math.log(budget) if budget > 0.0 else -math.inf
     prev = prev_arg = 0.0  # the block and n log S at the boundary before b
-    prev_drop = prev_width = 0.0  # the least fall of the chord before b, and its width
-    premise = None  # the check of the chord tail on the panel beyond its b
+    chord = premise = None  # the chord before b, and the one the panel [b, y*] checks
     while True:
         block = math.exp(arg + math.log(3.0 * b))  # >= the integral over [b, 4b]
         last = b > sys.float_info.max / 4.0
@@ -407,17 +410,13 @@ def _grid(dist: Distribution, n: int, budget: float):
             tail = b if b == bounds[1] else 0.0
             break
         if dist.log_mean_residual is None:
-            # the chord from the boundary before b, or from (0, 0) at b_0; a
-            # log-concave S falls at least as fast per unit past p as before
+            # the chord from the boundary before b, or from (0, 0) at b_0,
+            # once (b, arg) is checked against the chord before it
+            if chord is not None:
+                _check_chord(dist.name, chord, b, arg, 0.0)
             p = bounds[-2]
-            drop, log_tail, steepest = _chord(p, prev_arg, b, arg)
-            if prev_drop > 0.0 and steepest / prev_drop < (b - p) / prev_width:
-                raise HypothesisViolatedError(
-                    "log-concave",
-                    f"{dist.name}: n log survival falls more slowly past {p:g} than before it, "
-                    "so no chord bounds its tail; give the law a log_mean_residual",
-                )
-            prev_drop, prev_width = drop, b - p
+            chord = (p, prev_arg, b, arg)
+            drop, log_tail = _chord(*chord)
             if drop > 0.0:
                 def reach(log_target):
                     # the least y >= b where the chord tail is at most e^log_target
@@ -431,7 +430,7 @@ def _grid(dist: Distribution, n: int, budget: float):
                         # within the block to a negligible tail
                         y = min(4.0 * b, max(y, reach(log_negligible)))
                         bounds.append(y)
-                        premise = _below_chord(dist.name, p, prev_arg, b, arg)
+                        premise = chord
                     tail = 0.0 if y >= dist.support_upper else math.exp(log_tail - drop * ((y - b) / (b - p)))
                     break
         if last:
@@ -459,13 +458,13 @@ def survival_power_integral(dist: Distribution, n: int, tol: float) -> MinResult
     if not (isinstance(tol, float) and 0.0 < tol <= 1e-2):
         raise InvalidToleranceError(f"tol must be in (0, 1e-2], got {tol!r}")
 
-    bounds, tail_bound, remainder, least, premise = _grid(dist, n, 0.5 * tol)
+    bounds, tail_bound, remainder, least, chord = _grid(dist, n, 0.5 * tol)
     # one budget, what the tail leaves of tol, spent from left to right in
     # equal shares per panel of the grid, since shares in proportion to
     # width would starve the panels near 0 where the mass sits; a subnormal
     # lower bound on the value has no resolution to cap them with
     budget = max(tol - tail_bound, 0.0)
     cap = _RESOLUTION * least if least >= sys.float_info.min else math.inf
-    value, panel_error, panels = _integrate_mesh(dist.log_survival, n, bounds, budget, cap, premise)
+    value, panel_error, panels = _integrate_mesh(dist, n, bounds, budget, cap, chord)
     error_bound = tail_bound + panel_error
     return MinResult(n, value + remainder, "quadrature", error_bound, error_bound <= tol, bounds[-1], panels)

@@ -209,6 +209,10 @@ class TestExitCodes:
         ["expected-min", "--n", "3", "--dist", "half-normal:3"],
         ["expected-min", "--n", "3", "--dist", "uniform01:abc"],
         ["sweep", "--command", "emin", "--n", "3", "--columns", ","],
+        ["sweep", "--command", "emin", "--n", "3", "--columns", "n,nope"],
+        ["verify", "--seed", "abc"],
+        # a route that needs an option sweep was not given
+        ["sweep", "--command", "expected-min", "--n", "3"],
         # an option that sweep's route does not read
         ["sweep", "--command", "emin", "--dist", "exponential:1", "--n", "3"],
         ["sweep", "--command", "asymptotic", "--dist", "half-normal", "--n", "3",
@@ -273,7 +277,7 @@ class TestPinnedOutput:
                             "--format", "csv"], capsys)
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "a46d9eb10426d8069deef87832c2463bb713d3d096133f06fcdd3d996f2eff21")
+            "b014b898ebb478fdafce5509bc04842bfdfa27e6a0560417272ef8e8dee1716a")
 
     def test_verify_digest(self, capsys):
         code, out, _ = run(["verify", "--seed", "42"], capsys)

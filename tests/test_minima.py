@@ -96,6 +96,19 @@ class TestEmin:
         assert r.converged
         assert error <= r.error_bound + 8 * math.ulp(r.value)
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 10, 100])
+    def test_bound_carries_the_factor_rounding(self, n):
+        # the bound holds with no ulp of slack: gamma_ratio(n, 1) is within 3
+        # eps relative and the product rounds once more, so emin(2), 7.40e-17
+        # off, overstepped nmin's bound times the factor, 4.37e-17
+        with mp.workdps(40):
+            points = [mp.mpf(0)] + [mp.mpf(10)**k / n for k in range(-1, 3)] + [mp.inf]
+            integral = mp.quad(lambda y: mp.erfc(y)**n, points)
+            oracle = integral * mp.gamma(mp.mpf(n) / 2) / mp.gamma(mp.mpf(n + 1) / 2)
+            r = emin(n)
+            assert abs(mp.mpf(r.value) - oracle) <= r.error_bound
+        assert r.converged
+
     @pytest.mark.parametrize("n,limit", [(12, 1.05e-11), (100, 1e-14)])
     def test_tail_bound_is_tight(self, n, limit):
         # at y* = 1.10 the chord tail of nmin(12) is 3.4e-13, where the

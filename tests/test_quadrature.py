@@ -21,7 +21,7 @@ from spheremin.distributions import exponential, half_normal, heavy_tail, power_
 from spheremin.errors import HypothesisViolatedError, InvalidToleranceError, NonConvergentError
 from spheremin import quadrature
 from spheremin.minima import asymptotic_min, emin, expected_min, nmin
-from spheremin.quadrature import _W43, _WD, _WE, _WG, _WK, _WP, _XK, _XP, _chord, survival_power_integral
+from spheremin.quadrature import _RULES, _W43, _WG, _WK, _XK, _XP, _chord, survival_power_integral
 from spheremin.special import gamma_ratio
 
 INV_SQRT_PI = 0.5641895835477563
@@ -129,7 +129,7 @@ def test_result_fields():
     base, sphere, factor = nmin(5), emin(5), gamma_ratio(5, 1)
     assert (sphere.panels, sphere.truncation_point) == (base.panels, base.truncation_point)
     assert sphere.value == factor * base.value
-    assert sphere.error_bound == factor * base.error_bound
+    assert sphere.error_bound == factor * base.error_bound + 3.5 * EPS * sphere.value
     r = asymptotic_min(exponential(1.0), 5)
     assert r.panels is None and r.truncation_point is None
 
@@ -241,13 +241,13 @@ def test_last_panel_takes_all_the_budget_left(monkeypatch):
     # _MAX_LEAVES
     budget = 1e-3
 
-    def panel(log_s, n, a, b):
+    def rule(log_s, n, a, b, nodes, weights, diffs, fx):
         err = 1.0 if a < 1 / 3 < b and b - a > 2.0**-60 else (budget if a == 3.0 else 0.0)
-        return b - a, err, None
+        return b - a, err, fx
 
-    monkeypatch.setattr(quadrature, "_integrate_panel", panel)
-    monkeypatch.setattr(quadrature, "_extend_panel", lambda log_s, n, a, b, fx: panel(log_s, n, a, b)[:2])
-    value, error, leaves = quadrature._integrate_mesh(None, 1, [0.0, 1.0, 2.0, 3.0, 4.0], budget, math.inf, None)
+    monkeypatch.setattr(quadrature, "_rule", rule)
+    value, error, leaves = quadrature._integrate_mesh(half_normal(), 1, [0.0, 1.0, 2.0, 3.0, 4.0], budget,
+                                                      math.inf, None)
     assert (value, error) == (4.0, budget)
     assert leaves < 100
 
@@ -308,13 +308,19 @@ def test_chord_tail_bounds_the_tail(family, param, n, at, first, past):
     p = 0.0 if first else 0.25 * b
     p_arg = n * dist.log_survival(p)
     arg = n * dist.log_survival(b)
-    drop, log_tail, steepest = _chord(p, p_arg, b, arg)
+    drop, log_tail = _chord(p, p_arg, b, arg)
     assume(drop > 0.0)
-    assert steepest >= drop
     y = b + past * b
     tail = _mp_tail(family, k, n, y)
     with mp.workdps(30):
         assert tail == 0 or mp.log(tail) <= log_tail - mp.mpf(drop) * (mp.mpf(y) - b) / (b - p)
+
+
+def test_chord_that_does_not_fall_bounds_nothing():
+    # a chord whose fall is within the rounding of its two values gives no
+    # tail bound, and the walk goes on to the next boundary
+    drop, log_tail = _chord(0.0, 0.0, 0.25, 0.0)
+    assert drop <= 0.0 and log_tail == math.inf
 
 
 def test_law_without_a_remainder_must_be_log_concave():
@@ -328,6 +334,46 @@ def test_law_without_a_remainder_must_be_log_concave():
         with pytest.raises(HypothesisViolatedError) as info:
             survival_power_integral(dist, n, 1e-10)
         assert info.value.condition == "log-concave"
+
+
+@pytest.mark.parametrize("k,n,tol", [(100, 1, 1e-10), (80, 1, 1e-13), (500, 10**9, 1e-13), (1e3, 1000, 1e-10)])
+def test_steep_power_law_is_log_concave(k, n, tol):
+    # 1 - y^k is log-concave, but at the node of the panel beyond the last
+    # chord exp(n log S) can round to 1, whose log reads 0 where the chord's
+    # values are about 1e-60: only that log's own rounding, up to eps/2
+    # however small the values, keeps the node below the chord
+    # (power_law(100) at n = 1 has the mean 100/101)
+    dist, exact = _exact("power_law", k, n)
+    res = survival_power_integral(dist, n, tol)
+    assert res.converged
+    _assert_honest(res, exact)
+
+
+@pytest.mark.parametrize("k,n", [(2.0222447127092806, 219), (2.02273462079559, 1423)])
+def test_k43_error_at_a_cusp_is_bounded(k, n):
+    # K21's error on the cusp y^k at 0 crosses zero near k = 2.022, where
+    # |K43 - K21| reads 0.71 and 0.31 of K43's own error on the panel at 0
+    dist, exact = _exact("power_law", k, n)
+    res = survival_power_integral(dist, n, 1e-13)
+    assert res.converged
+    _assert_honest(res, exact)
+
+
+def test_cusp_ratio_bounds_k43_error_on_a_cusp():
+    # on x^alpha, alpha > 1, over [0, 1], K43's error per unit of |K21 - G10|
+    # is largest as alpha -> 1, where it is the ratio of their errors on
+    # x log x, 3.0e-4; the nodes are the table's floats, as the panels use them
+    def errors(f, exact):
+        values = [f((1 + mp.mpf(x)) / 2) for x in _XK + _XP]
+        g10, k21, k43 = (mp.fsum(mp.mpf(w) * v for w, v in zip(ws, vs)) / 2 - exact
+                         for ws, vs in ((_WG, values[1:21:2]), (_WK, values), (_RULES[1][1], values)))
+        return abs(k43) / abs(k21 - g10)
+
+    with mp.workdps(40):
+        ratios = [errors(lambda x: x * mp.log(x), mp.mpf(-1) / 4)]
+        ratios += [errors(lambda x: x**a, 1 / (a + 1)) for a in mp.linspace(1.001, 3.999, 64) + [mp.mpf("2.022")]]
+    assert max(ratios) == ratios[0]
+    assert 2.9e-4 < ratios[0] < quadrature._CUSP_RATIO
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-5, 0.5, 1.0])
@@ -368,7 +414,7 @@ def test_kronrod_table_is_exact():
             gauss = math.fsum(w * x**k for w, x in zip(_WG, _XK[1::2]))
             assert abs(gauss - exact) <= 1e-15
             # the weights of the panel error K21 - G10 integrate them to 0
-            assert abs(math.fsum(w * x**k for w, x in zip(_WD, _XK))) <= 1e-15
+            assert abs(math.fsum(w * x**k for w, x in zip(_RULES[0][2], _XK))) <= 1e-15
 
 
 def _legendre(k, x):
@@ -388,13 +434,16 @@ def test_patterson_table_is_exact():
     assert len(set(x43)) == len(_W43) == 43
     assert x43[1::2] == list(_XK)
     assert all(w > 0 for w in _W43)
+    # the K43 row of _RULES weighs the values in the order its rule forms
+    # them, those at the Kronrod nodes first
+    assert sorted(zip(_XK + _XP, _RULES[1][1]), reverse=True) == list(zip(x43, _W43))
     for k in range(65):
         rule = math.fsum(w * _legendre(k, x) for w, x in zip(_W43, x43))
         assert abs(rule - (2.0 if k == 0 else 0.0)) <= 1e-15
         if k <= 31:
             # the weights of the panel error K43 - K21 integrate those of
             # K21's degree to 0
-            diff = math.fsum(w * _legendre(k, x) for w, x in zip(_WE + _WP, _XK + _XP))
+            diff = math.fsum(w * _legendre(k, x) for w, x in zip(_RULES[1][2], _XK + _XP))
             assert abs(diff) <= 1e-15
     assert abs(math.fsum(w * _legendre(66, x) for w, x in zip(_W43, x43))) > 1e-6
 
@@ -472,6 +521,7 @@ N_ALPHA_108 = -5.938882272112998
        tol=st.sampled_from([1e-4, 1e-10, 1e-13]))
 @example(family="heavy_tail", param=N_ALPHA_108, n=10**15, hn=1, tol=1e-13)
 @example(family="exponential", param=1.0, n=10**15, hn=1, tol=1e-13)  # rate 1e3
+@example(family="power_law", param=0.23252126941090095, n=219, hn=1, tol=1e-13)  # k = 2.0222
 def test_error_bound_is_honest(family, param, n, hn, tol):
     # log-uniform rate in [1e-3, 1e3], k in [1.01, 20] and alpha in [0.05, 10];
     # n * alpha stays above 1.08, since the ratio test of the grid's walk

@@ -145,6 +145,14 @@ class TestIdentityCheck:
         assert rep.agree
         assert abs(rep.sphere_side.point - 1.0) < 1e-12
 
+    def test_routes_apart_with_no_spread_disagree(self):
+        # a constant tagged degree 1 has no spread on either route, but the
+        # Gaussian route scales it by Gamma(3/2)/Gamma(2) = 0.886
+        f = HomogeneousFunction("one", 1, lambda x: np.ones(x.shape[:-1]))
+        rep = transfer_identity_check(f, 3, 1000, 0)
+        assert (rep.gaussian_side.std_error, rep.sphere_side.std_error) == (0.0, 0.0)
+        assert rep.z_score == math.inf and not rep.agree
+
 
 def test_emin_agrees_with_direct_mc():
     f = builtin_function("min-abs")

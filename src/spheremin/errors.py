@@ -1,6 +1,6 @@
-"""Exception types shared across the package, and the one check of the
-integer arguments (the dimension or draw count n, the degree d, the
-sample count) that the public routines share."""
+"""Exception types shared across the package, and the one check each of
+the integer arguments (the dimension or draw count n, the degree d, the
+sample count) and of the tolerance that the public routines share."""
 
 import sys
 
@@ -42,3 +42,9 @@ def _check_int(name: str, value: int, least: int = 1) -> None:
     if value > sys.float_info.max:
         raise ValueError(f"{name} must be at most {sys.float_info.max:g}, "
                          f"got an integer of {value.bit_length()} bits")
+
+
+def _check_tol(tol: float) -> None:
+    """Raise InvalidToleranceError unless ``tol`` is a float in (0, 1e-2]."""
+    if not (isinstance(tol, float) and 0.0 < tol <= 1e-2):
+        raise InvalidToleranceError(f"tol must be in (0, 1e-2], got {tol!r}")

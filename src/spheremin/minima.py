@@ -17,7 +17,7 @@ import math
 import sys
 
 from .distributions import Distribution, half_normal
-from .errors import HypothesisViolatedError, _check_int
+from .errors import HypothesisViolatedError, _check_int, _check_tol
 from .quadrature import MinResult, survival_power_integral
 from .special import gamma_ratio
 
@@ -43,10 +43,12 @@ def emin(n: int, tol: float = DEFAULT_TOL) -> MinResult:
     The value and bound are nmin's scaled by that factor, and the bound also
     carries the factor's rounding, within 3 eps relative, and that of the
     product; the truncation point and panels are those of nmin's
-    half-normal integral.
+    half-normal integral.  Where the factor exceeds 1 (n = 1, 2), nmin is
+    asked for tol / factor, the tolerance the scaling leaves.
     """
-    base = nmin(n, tol)
     factor = gamma_ratio(n, 1)
+    _check_tol(tol)
+    base = nmin(n, tol / factor if factor > 1.0 else tol)
     value = factor * base.value
     error_bound = factor * base.error_bound + 3.5 * sys.float_info.epsilon * value
     return dataclasses.replace(base, value=value, error_bound=error_bound, converged=error_bound <= tol)

@@ -72,14 +72,20 @@ The panels between consecutive bounds up to y* are integrated by one
 nested sequence of rules, G10, K21 and K43: QUADPACK's 10/21-point
 Gauss-Kronrod pair (qk21) and Patterson's 22 further nodes, as QUADPACK's
 qng adds them.  Each rule reuses the values of the rules before it, and
-its error estimate is its difference from the rule before, |K21 - G10| or
-|K43 - K21|, one exact sum, so it is not a whole number of ulps of the
+its error estimate is its difference d from the rule before, |K21 - G10|
+or |K43 - K21|, one exact sum, so it is not a whole number of ulps of the
 panel's value.  That is the error of the rule before, mostly far above
-the rule's own, so a panel that misses its tolerance at K21 is not split
-at once but goes on to K43.  Not so at a cusp y^alpha, alpha > 1, as at 0
-where f(0) = 0: each rule's error falls only as its nodes^-(2 alpha + 2),
-and where K21's crosses zero (near alpha = 2.022), |K43 - K21| understates
-K43's.  There K43's error is at least _CUSP_RATIO |K21 - G10|, above
+the rule's own.  So a panel whose d misses its tolerance is judged again
+by QUADPACK's scaled estimate resasc min(1, (200 d / resasc)^1.5), where
+resasc is K21's integral of |f - its mean| over the panel, before it goes
+on from K21 to K43, or from K43 to a split.  The scale is formed only on
+a miss, from the 21 values in hand: a panel whose d fits keeps d as its
+error, bit for bit, and a sum over 21 values on every panel would cost
+more time than the evaluations it saves.  At a cusp y^alpha, alpha > 1,
+as at 0 where f(0) = 0, d need not lie above the rule's own error: each
+rule's error falls only as its nodes^-(2 alpha + 2), and where K21's
+crosses zero (near alpha = 2.022), |K43 - K21| understates K43's.
+There K43's error is at least _CUSP_RATIO |K21 - G10|, unscaled, above
 their largest ratio on x^alpha, 3.0e-4 as alpha -> 1.  A panel that misses
 the tolerance at K43 too is bisected, and each half starts again at K21,
 within one budget of leaves per integral, so every call does bounded work.
@@ -111,7 +117,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .distributions import Distribution
-from .errors import HypothesisViolatedError, InvalidToleranceError, NonConvergentError, _check_int
+from .errors import HypothesisViolatedError, NonConvergentError, _check_int, _check_tol
 
 # QUADPACK qk21 (Piessens et al., 1983) on [-1, 1]: the 21 Kronrod nodes,
 # largest first; the 10 Gauss nodes are those at odd indices.
@@ -233,6 +239,9 @@ _RESOLUTION = 2.0**-27
 _NEGLIGIBLE_TAIL = 2.0**-60
 # K43's error on a cusp x^alpha at 0, alpha > 1, per unit of |K21 - G10|
 _CUSP_RATIO = 3.1e-4
+# a panel error within this much of |value| is at the level of rounding,
+# which splitting the panel cannot lower
+_PANEL_ROUNDING = 4e-16
 
 
 @dataclass(frozen=True)
@@ -258,6 +267,21 @@ def _rule(log_s, n, a, b, nodes, weights, diffs, fx):
     return h * math.fsum(map(operator.mul, weights, fx)), abs(h * math.fsum(map(operator.mul, diffs, fx))), fx
 
 
+def _fits(err, tol, value):
+    """Whether a panel error is within its tolerance or at the level of
+    rounding of the panel's value."""
+    return err <= tol or err <= _PANEL_ROUNDING * abs(value)
+
+
+def _scaled(err, resasc):
+    """QUADPACK's panel error (qk21, qng) from the difference ``err`` of two
+    nested rules and ``resasc``, the panel's integral of |f - its mean| by
+    K21: resasc min(1, (200 err / resasc)^1.5)."""
+    if resasc == 0.0:
+        return err
+    return resasc * min(1.0, 200.0 * err / resasc) ** 1.5
+
+
 def _integrate_mesh(dist, n, bounds, budget, cap, chord):
     """Adaptive bisection of the panels between consecutive bounds of the
     integral of exp(n * dist.log_survival(y)).
@@ -266,15 +290,17 @@ def _integrate_mesh(dist, n, bounds, budget, cap, chord):
     panel holds a share of it, 1 for a panel between bounds, halved at each
     bisection, and the panel taken next gets its share of what is left, or
     all of it if it is the last, but never more than ``cap``.  A panel is
-    accepted when its error is within that tolerance or at the level of
-    rounding, and charges the lesser of the two to the budget, so that what
-    it leaves unused passes on to the panels after it.  A panel whose K21
-    misses that test extends to K43, and is accepted on the same test of
-    |K43 - K21|, or when splitting it would take the accepted and pending
-    panels past _MAX_LEAVES (at 0 where f(0) = 0, K43's error is at least
-    _CUSP_RATIO |K21 - G10|, as the module docstring says); otherwise it is
-    split in two, at its midpoint or, for a panel at 0, at a quarter, and
-    each half starts again at K21.
+    accepted when its error estimate fits, within that tolerance or at the
+    level of rounding, and charges the lesser of the two to the budget, so
+    that what it leaves unused passes on to the panels after it.  The
+    estimates are tried in turn, each only where the one before misses:
+    |K21 - G10|, its QUADPACK scale, |K43 - K21| once the panel extends to
+    K43, and the scale of that (at 0 where f(0) = 0, K43's error is at
+    least _CUSP_RATIO |K21 - G10|, as the module docstring says).  A panel
+    that misses them all is accepted when splitting it would take the
+    accepted and pending panels past _MAX_LEAVES; otherwise it is split in
+    two, at its midpoint or, for a panel at 0, at a quarter, and each half
+    starts again at K21.
     A panel beyond the b of ``chord``, where not None, checks it with the
     K21 value at its node nearest its right end, a normal float, where a
     bend shows most.  Returns (value, error, leaves)."""
@@ -294,12 +320,19 @@ def _integrate_mesh(dist, n, bounds, budget, cap, chord):
             # the log of a rounded exp is off by up to eps/2 even where the
             # exp rounds to 1 and the log to 0
             _check_chord(dist.name, chord, 0.5 * (a + b) + 0.5 * (b - a) * _XK[0], math.log(fx[0]), 1.0)
-        if err > tol and err > 4e-16 * abs(value):
-            coarse = err
-            value, err, fx = _rule(log_s, n, a, b, *_RULES[1], fx)
-            if a == 0.0 and cusp:
-                err = max(err, _CUSP_RATIO * coarse)
-        if err <= tol or err <= 4e-16 * abs(value) or len(values) + len(stack) + 2 > _MAX_LEAVES:
+        if not _fits(err, tol, value):
+            # QUADPACK's scale, formed only on a miss, from the K21 values in
+            # hand: on every panel it costs more time than it saves
+            coarse, mean = err, value / (b - a)
+            resasc = 0.5 * (b - a) * math.fsum(w * abs(f - mean) for w, f in zip(_WK, fx))
+            err = _scaled(err, resasc)
+            if not _fits(err, tol, value):
+                value, diff, fx = _rule(log_s, n, a, b, *_RULES[1], fx)
+                floor = _CUSP_RATIO * coarse if a == 0.0 and cusp else 0.0
+                err = max(diff, floor)
+                if not _fits(err, tol, value):
+                    err = max(_scaled(diff, resasc), floor)
+        if _fits(err, tol, value) or len(values) + len(stack) + 2 > _MAX_LEAVES:
             values.append(value)
             errors.append(err)
             left -= min(err, tol)
@@ -455,8 +488,7 @@ def survival_power_integral(dist: Distribution, n: int, tol: float) -> MinResult
     itself shrinks like 1/n, so relative targets are unstable).
     """
     _check_int("n", n)
-    if not (isinstance(tol, float) and 0.0 < tol <= 1e-2):
-        raise InvalidToleranceError(f"tol must be in (0, 1e-2], got {tol!r}")
+    _check_tol(tol)
 
     bounds, tail_bound, remainder, least, chord = _grid(dist, n, 0.5 * tol)
     # one budget, what the tail leaves of tol, spent from left to right in

@@ -69,6 +69,13 @@ class TestCommands:
         assert float(fields[1]) == pytest.approx(1.0, abs=1e-12)
         assert fields[3] == "quadrature"
 
+    def test_emin_n1_meets_a_tight_tol(self, capsys):
+        # nmin is asked for tol / 1.77 at n = 1, so the scaled bound meets tol
+        code, out, err = run(["emin", "--n", "1", "--tol", "1e-13", "--format", "csv"], capsys)
+        assert code == EXIT_OK
+        assert err == ""
+        assert float(out.splitlines()[1].split(",")[2]) <= 1e-13
+
     def test_expected_min_exponential(self, capsys):
         code, out, _ = run(
             ["expected-min", "--dist", "exponential:1", "--n", "7", "--format", "csv"],

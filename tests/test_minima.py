@@ -13,7 +13,7 @@ import pytest
 
 import spheremin
 from spheremin.distributions import exponential, half_normal, heavy_tail, power_law, uniform01
-from spheremin.errors import HypothesisViolatedError, NonConvergentError
+from spheremin.errors import HypothesisViolatedError, InvalidToleranceError, NonConvergentError
 from spheremin.minima import asymptotic_min, emin, expected_min, nmin
 from spheremin.special import gamma_ratio
 
@@ -108,6 +108,24 @@ class TestEmin:
             r = emin(n)
             assert abs(mp.mpf(r.value) - oracle) <= r.error_bound
         assert r.converged
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10])
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12, 1e-13, 1e-14])
+    def test_nmin_is_asked_for_the_tolerance_the_factor_leaves(self, n, tol):
+        # the factor is 1.77 at n = 1 and 1.13 at n = 2: with nmin asked for
+        # tol itself, emin(1, 1e-13) reported a bound of 1.24e-13 and
+        # converged=False although nmin had converged
+        factor = gamma_ratio(n, 1)
+        base = nmin(n, tol / factor if factor > 1.0 else tol)
+        r = emin(n, tol)
+        assert (r.value, r.panels) == (factor * base.value, base.panels)
+        assert base.converged and r.converged and r.error_bound <= tol
+
+    @pytest.mark.parametrize("tol", [0.015, 0.0, "1e-10"])
+    def test_tol_is_checked_before_the_factor_divides_it(self, tol):
+        # 0.015 / 1.77 would lie in (0, 1e-2]
+        with pytest.raises(InvalidToleranceError):
+            emin(1, tol)
 
     @pytest.mark.parametrize("n,limit", [(12, 1.05e-11), (100, 1e-14)])
     def test_tail_bound_is_tight(self, n, limit):

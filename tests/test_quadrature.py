@@ -522,6 +522,10 @@ N_ALPHA_108 = -5.938882272112998
 @example(family="heavy_tail", param=N_ALPHA_108, n=10**15, hn=1, tol=1e-13)
 @example(family="exponential", param=1.0, n=10**15, hn=1, tol=1e-13)  # rate 1e3
 @example(family="power_law", param=0.23252126941090095, n=219, hn=1, tol=1e-13)  # k = 2.0222
+# the three inputs of test_scaled_estimate_evaluation_count
+@example(family="power_law", param=0.30355210742588473, n=1, hn=1, tol=1e-13)  # k = 2.5
+@example(family="half_normal", param=0.0, n=1, hn=10, tol=1e-13)
+@example(family="power_law", param=0.3965367064107471, n=1000, hn=1, tol=1e-13)  # k = 3.3
 def test_error_bound_is_honest(family, param, n, hn, tol):
     # log-uniform rate in [1e-3, 1e3], k in [1.01, 20] and alpha in [0.05, 10];
     # n * alpha stays above 1.08, since the ratio test of the grid's walk
@@ -576,6 +580,20 @@ def test_power_law_evaluation_count():
     res = survival_power_integral(counted, 10, 1e-13)
     assert res.converged
     assert len(calls) <= 160
+
+
+@pytest.mark.parametrize("family,param,n,limit", [("power_law", 2.5, 1, 70), ("half_normal", None, 10, 70),
+                                                 ("power_law", 3.3, 1000, 95)])
+def test_scaled_estimate_evaluation_count(family, param, n, limit):
+    # a panel whose |K21 - G10| misses its tolerance is judged again by
+    # QUADPACK's scaled estimate before it extends to K43 or splits: 66, 65
+    # and 88 evaluations, where |K21 - G10| alone took 130, 87 and 174
+    dist, exact = _exact(family, param, n)
+    counted, calls = _counting(dist)
+    res = survival_power_integral(counted, n, 1e-13)
+    assert res.converged
+    _assert_honest(res, exact)
+    assert len(calls) <= limit
 
 
 @pytest.mark.parametrize("k,n,tol,limit", [(3, 10**6, 1e-10, 90), (3, 10**9, 1e-10, 90), (4, 10**6, 1e-13, 112)])

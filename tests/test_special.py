@@ -2,6 +2,7 @@
 (computed with mpmath at 40 digits before the implementation was written)."""
 
 import math
+import random
 
 import mpmath as mp
 import numpy as np
@@ -66,6 +67,16 @@ class TestLogErfc:
     @given(st.floats(min_value=1e-8, max_value=25.0))
     def test_consistent_with_erfc(self, y):
         assert math.exp(log_erfc(y)) == pytest.approx(math.erfc(y), rel=1e-12)
+
+    def test_relative_error_is_within_two_eps(self):
+        # the contract the quadrature's rounding terms rest on: a few eps of
+        # |log S|, here over y log-uniform in [1e-8, 1e4], all three regimes
+        rng = random.Random(20)
+        with mp.workdps(40):
+            for _ in range(3000):
+                y = 1e-8 * 1e12**rng.random()
+                exact = mp.log(mp.erfc(mp.mpf(y)))
+                assert abs(log_erfc(y) - exact) <= 2 * EPS * abs(exact)
 
     def test_regime_boundaries_are_continuous(self):
         for edge in (0.5, 25.0):

@@ -71,11 +71,23 @@ divergent or nearly so.
 The panels between consecutive bounds up to y* are integrated by one
 nested sequence of rules, G10, K21 and K43: QUADPACK's 10/21-point
 Gauss-Kronrod pair (qk21) and Patterson's 22 further nodes, as QUADPACK's
-qng adds them.  Each rule reuses the values of the rules before it, and
-its error estimate is its difference d from the rule before, |K21 - G10|
-or |K43 - K21|, one exact sum, so it is not a whole number of ulps of the
-panel's value.  That is the error of the rule before, mostly far above
-the rule's own.  So a panel whose d misses its tolerance is judged again
+qng adds them.  Each rule reuses the values of the rules before it.  On
+the panel at 0 of a law with a finite positive f(0), which the first
+width sizes so that the integrand falls only to about e^-4 across it and
+which holds most of the value, the sequence starts at G10 itself: its 10
+values alone give the discrete Legendre coefficients c_6 ... c_9 of its
+null rules (Berntsen and Espelid, ACM TOMS 17, 1991), and where they fall
+fast enough, their rate of fall estimates G10's own error.  A panel whose
+estimate fits is accepted at 10 evaluations; elsewhere the 11 Kronrod
+nodes join the 10 values, and the panel goes on as any other, bit for
+bit.  The estimate is tried only under a finite resolution cap (below),
+and not at a cusp: where f(0) is 0 or infinite, the coefficients fall
+only as a power of their index, and their rate understates the error
+(tried where f(0) = inf, S = 1 - sqrt(y) at n = 1 came back 5.2x over
+its bound).  From K21 on, a rule's error estimate is its difference d
+from the rule before, |K21 - G10| or |K43 - K21|, one exact sum, so it
+is not a whole number of ulps of the panel's value.  That is the error
+of the rule before, mostly far above the rule's own.  So a panel whose d misses its tolerance is judged again
 by QUADPACK's scaled estimate resasc min(1, (200 d / resasc)^1.5), where
 resasc is K21's integral of |f - its mean| over the panel, before it goes
 on from K21 to K43, or from K43 to a split.  The scale is formed only on
@@ -87,11 +99,16 @@ rule's error falls only as its nodes^-(2 alpha + 2), and where K21's
 crosses zero (near alpha = 2.022), |K43 - K21| understates K43's.
 There K43's error is at least _CUSP_RATIO |K21 - G10|, unscaled, above
 their largest ratio on x^alpha, 3.0e-4 as alpha -> 1.  A panel that misses
-the tolerance at K43 too is bisected, and each half starts again at K21,
-within one budget of leaves per integral, so every call does bounded work.
-A panel at 0 splits at a quarter instead, as the grid does: a cusp y^k at
-0, as in the power law, gives a panel error that falls as its
-width^(k+1), so each split of [0, b] cuts it by 4^(k+1), not 2^(k+1).
+the tolerance at K43 too is bisected, and each half starts again at its
+first rule, within one budget of leaves per integral, so every call does
+bounded work.  A panel at 0 splits at a quarter instead, as the grid
+does: a cusp y^k at 0, as in the power law, gives a panel error that
+falls as its width^(k+1), so each split of [0, b] cuts it by 4^(k+1), not
+2^(k+1).  A panel that ends at the end of a bounded support is not
+accepted while the integrand at its node nearest that end is above e^-1,
+and splits a quarter of its width from that end: the integrand falls to
+0 there between that node and the end, unseen by every rule, as for
+power_law(k) with k >= 1e4, whose cliff lies within O(1/k) of 1.
 
 The panels spend one error budget, what the tail leaves of the tolerance,
 from left to right.  Each pending panel holds a share of it, 1 for a panel
@@ -157,6 +174,22 @@ _WG_HALF = (
 _XK = _XK_HALF + tuple(-x for x in _XK_HALF[-2::-1])
 _WK = _WK_HALF + _WK_HALF[-2::-1]
 _WG = _WG_HALF + _WG_HALF[::-1]
+_XG = _XK[1::2]
+# the orthonormal Legendre polynomials sqrt(j + 1/2) P_j, j = 6 ... 9, at
+# the five positive Gauss nodes, largest first, one row each: G10 sums them
+# with the values into the discrete Legendre coefficients c_j of its null
+# rules (Berntsen and Espelid, ACM TOMS 17, 1991); p_j(-x) = (-1)^j p_j(x)
+_NULL_HALF = (
+    (1.32545872332198805037219319760107, -0.95940710085358579600073808107183, -0.148242941048368969825234273149191,
+     0.818980969843994204499181962184441, -0.450155115490100501790970017192487),
+    (1.06550723264983549057886619760407, -1.12182077781099412872673289305627, 0.574222650199226928127202290963919,
+     0.189928810166809661420660224388181, -0.722517299427113626158426169799122),
+    (0.745096367001693362424905205590347, -0.977114109148436619677384572170649, 0.927071282666612943207088096295911,
+     -0.655166309771497740805621340949567, 0.235717573570054033045183943238276),
+    (0.383121405265481869907325695910232, -0.565638043679299150037177068853373, 0.683317774591849447193023568098175,
+     -0.757022022188756866220015422700257, 0.79289077313499564577209584142575),
+)
+_NULL = tuple(row + tuple(v if j % 2 == 0 else -v for v in row[::-1]) for j, row in enumerate(_NULL_HALF, 6))
 # Patterson's optimal addition of 22 nodes to qk21 (Math. Comp. 22, 1968), as
 # in QUADPACK's qng: the new nodes, largest first, and the 43 weights of K43
 # in the order of its nodes, largest first, where the 21 Kronrod nodes are
@@ -242,6 +275,11 @@ _CUSP_RATIO = 3.1e-4
 # a panel error within this much of |value| is at the level of rounding,
 # which splitting the panel cannot lower
 _PANEL_ROUNDING = 4e-16
+# the safety factor K of G10's null-rule estimate K e1 (e1/e2)^5.5
+_NULL_FACTOR = 2.0
+# a panel that ends at the support's end is split while the integrand at
+# its node nearest that end is above this: it drops to 0 between them
+_END_CEILING = math.exp(-1.0)
 
 
 @dataclass(frozen=True)
@@ -252,19 +290,49 @@ class MinResult:
     error_bound: Optional[float] = None  # this and the rest None when asymptotic
     converged: Optional[bool] = None  # error_bound <= tol
     truncation_point: Optional[float] = None  # y*, where the panels end
-    panels: Optional[int] = None  # accepted panels, each K21 or K43
+    panels: Optional[int] = None  # accepted panels, each G10, K21 or K43
+
+
+def _values(log_s, n, a, b, nodes):
+    """The integrand exp(n * log_s(y)) at the nodes on [a, b], inline rather
+    than through a closure that would cost a call per node."""
+    h = 0.5 * (b - a)
+    c = 0.5 * (a + b)
+    return [math.exp(n * log_s(c + h * x)) for x in nodes]
 
 
 def _rule(log_s, n, a, b, nodes, weights, diffs, fx):
-    """One rule of _RULES on [a, b]: the integrand exp(n * log_s(y)) is
-    evaluated at the nodes the rule adds, inline rather than through a
-    closure that would cost a call per node, after the values fx of the
-    rules before it.  Returns the rule's value, the error estimate |this
-    rule - the rule before|, one exact sum, and all the values."""
+    """One rule of _RULES on [a, b], evaluated at the nodes it adds after
+    the values fx of the rules before it.  Returns the rule's value, the
+    error estimate |this rule - the rule before|, one exact sum, and all
+    the values."""
     h = 0.5 * (b - a)
-    c = 0.5 * (a + b)
-    fx = fx + [math.exp(n * log_s(c + h * x)) for x in nodes]
+    fx = fx + _values(log_s, n, a, b, nodes)
     return h * math.fsum(map(operator.mul, weights, fx)), abs(h * math.fsum(map(operator.mul, diffs, fx))), fx
+
+
+def _gauss(log_s, n, a, b):
+    """G10 on [a, b] and a null-rule estimate of its own error: with c_j =
+    h sum_i w_i p_j(x_i) f_i, e1 = |(c_9, c_8)| and e2 = |(c_7, c_6)|, it is
+    _NULL_FACTOR e1 (e1/e2)^5.5 where the coefficients fall, e2 > 0 and
+    e1 <= e2/2, floored at eps/2 of the value, and inf where they do not.
+    Returns the value, the estimate and the 10 values."""
+    h = 0.5 * (b - a)
+    fx = _values(log_s, n, a, b, _XG)
+    wf = list(map(operator.mul, _WG, fx))
+    value = h * math.fsum(wf)
+    c6, c7, c8, c9 = (math.fsum(map(operator.mul, row, wf)) for row in _NULL)
+    e1, e2 = math.hypot(c9, c8), math.hypot(c7, c6)
+    if not (e2 > 0.0 and e1 <= 0.5 * e2):
+        return value, math.inf, fx
+    return value, max(h * _NULL_FACTOR * e1 * (e1 / e2) ** 5.5, 0.5 * sys.float_info.epsilon * abs(value)), fx
+
+
+def _smooth_at_zero(dist):
+    """Whether the law's density at 0 is finite and positive, so that the
+    integrand falls from 1 on the scale 1/(n f(0)) with no cusp there."""
+    f0 = dist.density_at_zero
+    return f0 is not None and math.isfinite(f0) and f0 > 0.0
 
 
 def _fits(err, tol, value):
@@ -294,18 +362,25 @@ def _integrate_mesh(dist, n, bounds, budget, cap, chord):
     level of rounding, and charges the lesser of the two to the budget, so
     that what it leaves unused passes on to the panels after it.  The
     estimates are tried in turn, each only where the one before misses:
-    |K21 - G10|, its QUADPACK scale, |K43 - K21| once the panel extends to
-    K43, and the scale of that (at 0 where f(0) = 0, K43's error is at
-    least _CUSP_RATIO |K21 - G10|, as the module docstring says).  A panel
-    that misses them all is accepted when splitting it would take the
-    accepted and pending panels past _MAX_LEAVES; otherwise it is split in
-    two, at its midpoint or, for a panel at 0, at a quarter, and each half
-    starts again at K21.
+    G10's null-rule estimate, on the panel at 0 of a law with a finite
+    positive f(0) where ``cap`` is finite, |K21 - G10| once the 11 Kronrod
+    nodes join those 10 values (or, on any other panel, all 21 nodes), its
+    QUADPACK scale, |K43 - K21| once the panel extends to K43, and the
+    scale of that (at 0 where f(0) = 0, K43's error is at least
+    _CUSP_RATIO |K21 - G10|, as the module docstring says).  A panel that
+    ends at the support's end is not accepted while the integrand at its
+    node nearest that end is above e^-1.  A panel that is not accepted is
+    accepted anyway when splitting it would take the accepted and pending
+    panels past _MAX_LEAVES; otherwise it is split in two: a quarter of
+    its width from the support's end for such a cliff, else at its
+    midpoint or, for a panel at 0, at a quarter; each half starts again at
+    its first rule.
     A panel beyond the b of ``chord``, where not None, checks it with the
     K21 value at its node nearest its right end, a normal float, where a
     bend shows most.  Returns (value, error, leaves)."""
     log_s = dist.log_survival
     cusp = dist.density_at_zero == 0.0
+    gauss_first = _smooth_at_zero(dist) and cap < math.inf
     values, errors = [], []
     stack = [(a, b, 1.0) for a, b in zip(bounds, bounds[1:])]
     stack.reverse()  # left to right: a budget that runs out is spent near 0
@@ -315,7 +390,16 @@ def _integrate_mesh(dist, n, bounds, budget, cap, chord):
         # the last pending panel takes all that is left, however the sum of
         # the shares has rounded
         tol = min(cap, left * share / pending if stack else left)
-        value, err, fx = _rule(log_s, n, a, b, *_RULES[0], [])
+        if gauss_first and a == 0.0:
+            value, err, fx = _gauss(log_s, n, a, b)
+            if not _fits(err, tol, value):
+                # the 11 Kronrod nodes join the 10 Gauss values in hand,
+                # which K21's row reads at its odd indices
+                gauss, fx = fx, [0.0] * 21
+                fx[0::2], fx[1::2] = _values(log_s, n, a, b, _XK[0::2]), gauss
+                value, err, fx = _rule(log_s, n, a, b, (), *_RULES[0][1:], fx)
+        else:
+            value, err, fx = _rule(log_s, n, a, b, *_RULES[0], [])
         if chord is not None and a >= chord[2] and fx[0] >= sys.float_info.min:
             # the log of a rounded exp is off by up to eps/2 even where the
             # exp rounds to 1 and the log to 0
@@ -332,15 +416,19 @@ def _integrate_mesh(dist, n, bounds, budget, cap, chord):
                 err = max(diff, floor)
                 if not _fits(err, tol, value):
                     err = max(_scaled(diff, resasc), floor)
-        if _fits(err, tol, value) or len(values) + len(stack) + 2 > _MAX_LEAVES:
+        # the integrand drops to 0 between the node nearest the support's
+        # end and that end, unseen, as at 1 - O(1/k) for power_law(k)
+        cliff = b == dist.support_upper and fx[0] > _END_CEILING
+        if (_fits(err, tol, value) and not cliff) or len(values) + len(stack) + 2 > _MAX_LEAVES:
             values.append(value)
             errors.append(err)
             left -= min(err, tol)
             pending -= share
         else:
             # b/4 carries the grid's ratio on toward 0, where a cusp y^k
-            # makes the panel error fall as b^(k+1)
-            m = 0.25 * b if a == 0.0 else 0.5 * (a + b)
+            # makes the panel error fall as b^(k+1); a cliff is split toward
+            # the end it lies at
+            m = b - 0.25 * (b - a) if cliff else 0.25 * b if a == 0.0 else 0.5 * (a + b)
             stack += [(m, b, 0.5 * share), (a, m, 0.5 * share)]
     return math.fsum(values), math.fsum(errors), len(values)
 
@@ -401,9 +489,8 @@ def _grid(dist: Distribution, n: int, budget: float):
     where a boundary of a law without a remainder lies above the chord
     before it, and NonConvergentError at the largest floats without a
     tail."""
-    f0 = dist.density_at_zero
-    positive = f0 is not None and math.isfinite(f0) and f0 > 0.0
-    b = max(min(1.0, 4.0 / (n * f0 + 1.0)) if positive else 1.0 / math.sqrt(n), _MIN_WIDTH)
+    positive = _smooth_at_zero(dist)
+    b = max(min(1.0, 4.0 / (n * dist.density_at_zero + 1.0)) if positive else 1.0 / math.sqrt(n), _MIN_WIDTH)
     arg = n * dist.log_survival(b)
     ahead = None  # n log S(4b), where the walk up has probed it
     top = min(dist.support_upper, sys.float_info.max)

@@ -17,11 +17,11 @@ import mpmath as mp
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from spheremin.distributions import exponential, half_normal, heavy_tail, power_law, uniform01
+from spheremin.distributions import Distribution, exponential, half_normal, heavy_tail, power_law, uniform01
 from spheremin.errors import HypothesisViolatedError, InvalidToleranceError, NonConvergentError
 from spheremin import quadrature
 from spheremin.minima import asymptotic_min, emin, expected_min, nmin
-from spheremin.quadrature import _RULES, _W43, _WG, _WK, _XK, _XP, _chord, survival_power_integral
+from spheremin.quadrature import _NULL, _RULES, _W43, _WG, _WK, _XG, _XK, _XP, _chord, survival_power_integral
 from spheremin.special import gamma_ratio
 
 INV_SQRT_PI = 0.5641895835477563
@@ -349,6 +349,20 @@ def test_steep_power_law_is_log_concave(k, n, tol):
     _assert_honest(res, exact)
 
 
+@pytest.mark.parametrize("n", [1, 10**3, 10**6])
+@pytest.mark.parametrize("k", [1e4, 1.5e4, 5e4, 1e6])
+def test_cliff_at_the_end_of_the_support_is_split(k, n):
+    # (1 - y^k)^n falls from about 1 to 0 within O(1/k) of 1, past the node
+    # nearest 1 of the last panel, so no node saw the cliff: power_law(5e4)
+    # returned 1.0 at every n, off by up to 2.9e-4 with a bound of 1.2e-17.
+    # A panel that ends at the support's end while the integrand at that
+    # node is above e^-1 is split a quarter of its width from the end
+    dist, exact = _exact("power_law", k, n)
+    res = survival_power_integral(dist, n, 1e-10)
+    assert res.converged
+    _assert_honest(res, exact)
+
+
 @pytest.mark.parametrize("k,n", [(2.0222447127092806, 219), (2.02273462079559, 1423)])
 def test_k43_error_at_a_cusp_is_bounded(k, n):
     # K21's error on the cusp y^k at 0 crosses zero near k = 2.022, where
@@ -494,6 +508,29 @@ def test_patterson_nodes_match_their_derivation():
             assert abs(t - float(e)) <= math.ulp(t)
 
 
+def test_null_rule_rows_match_their_derivation():
+    # G10's null rules read the orthonormal Legendre polynomials
+    # p_j = sqrt(j + 1/2) P_j, j = 6 ... 9, at its nodes, the roots of P_10:
+    # at 60 digits each entry is within 1 ulp of the table.  G10 integrates
+    # p_i p_j to delta_ij for i + j <= 19, so the coefficient c_j it forms
+    # reads 0 on every polynomial of degree below j, and c_j of p_j reads 1
+    with mp.workdps(60):
+        nodes = _roots(mp.taylor(lambda x: mp.legendre(10, x), 0, 10))
+        exact = [[mp.sqrt(j + mp.mpf(1) / 2) * mp.legendre(j, x) for x in nodes] for j in range(10)]
+    for x, e in zip(_XG, nodes):
+        assert abs(x - float(e)) <= math.ulp(x)
+    assert len(_NULL) == 4
+    for row, e_row in zip(_NULL, exact[6:]):
+        assert len(row) == 10
+        for t, e in zip(row, e_row):
+            assert abs(t - float(e)) <= math.ulp(t)
+    rows = [[float(v) for v in row] for row in exact[:6]] + [list(row) for row in _NULL]
+    for i, p in enumerate(rows):
+        for j, q in enumerate(rows):
+            gauss = math.fsum(w * a * b for w, a, b in zip(_WG, p, q))
+            assert abs(gauss - (1.0 if i == j else 0.0)) <= 1e-15
+
+
 def _exact(family, param, n):
     """The integral for the float parameter the distribution is given."""
     with mp.workdps(30):
@@ -594,6 +631,57 @@ def test_scaled_estimate_evaluation_count(family, param, n, limit):
     assert res.converged
     _assert_honest(res, exact)
     assert len(calls) <= limit
+
+
+def test_smooth_panel_at_zero_stops_at_g10():
+    # the panel [0, b_0] of a law with a finite positive f(0) holds the
+    # integrand from 1 to about e^-4, on which G10 alone is accurate, and
+    # its null-rule estimate says so: the grid's 2 evaluations and G10's 10,
+    # where K21 took 23
+    counted, calls = _counting(exponential(1.3))
+    res = expected_min(counted, 10**4)
+    assert res.converged and res.panels == 1
+    assert len(calls) == 12
+
+
+def _pole(eps, alpha):
+    """S = (1 + y/eps)^-alpha, whose pole at -eps lies a fraction of the first
+    panel's width from it where n alpha is near 1, with the exact remainder
+    log((eps + b)/(n alpha - 1)); its mean is eps/(n alpha - 1)."""
+    def log_mean_residual(n, b):
+        return math.log(eps + b) - math.log(n) - math.log(alpha) - math.log1p(-1.0 / (n * alpha))
+
+    return Distribution(f"pole:{eps:g}:{alpha:g}", lambda y: -alpha * math.log1p(y / eps), alpha / eps, math.inf,
+                        log_mean_residual)
+
+
+@pytest.mark.parametrize("alpha", [0.55, 2.0, 20.0])
+@pytest.mark.parametrize("eps", [1e-3, 1.0, 10.0])
+def test_null_rule_estimate_is_honest_near_a_pole(eps, alpha):
+    # the Legendre coefficients of the integrand on [0, b_0] decay slowest,
+    # and G10's null-rule estimate has the least margin, where a pole lies
+    # close to the panel, here at -eps with b_0 about 4 eps/(n alpha)
+    dist = _pole(eps, alpha)
+    for n in (2, 10, 10**4):
+        exact = float(Fraction(eps) / (n * Fraction(alpha) - 1))
+        for tol in (1e-8 * eps, 1e-13 * eps):
+            res = survival_power_integral(dist, n, tol)
+            assert res.converged
+            _assert_honest(res, exact)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_infinite_density_at_zero_starts_at_k21(n):
+    # S = 1 - sqrt(y) on [0, 1] has f(0) = inf: the integrand falls as
+    # 1 - n sqrt(y), a cusp at 0 on which G10's null rules misjudge its
+    # error, so only a finite positive f(0) starts the panel at 0 with G10
+    # (one that only asked f(0) != 0 was 5.2x over the bound at n = 1, tol
+    # 1e-10); the mean is 2/((n+1)(n+2))
+    dist = Distribution("root", lambda y: math.log1p(-math.sqrt(y)) if y < 1.0 else -math.inf, math.inf, 1.0)
+    for tol in (1e-10, 1e-13):
+        res = survival_power_integral(dist, n, tol)
+        assert res.converged
+        _assert_honest(res, 2.0 / ((n + 1) * (n + 2)))
 
 
 @pytest.mark.parametrize("k,n,tol,limit", [(3, 10**6, 1e-10, 90), (3, 10**9, 1e-10, 90), (4, 10**6, 1e-13, 112)])

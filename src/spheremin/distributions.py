@@ -24,6 +24,15 @@ starting from (0, 0), which lies above n log S beyond them only then.
 The quadrature raises HypothesisViolatedError with condition
 "log-concave" where its chords, or the panel beyond the last of them,
 show otherwise.
+
+``single_scale`` says that S^n has no part near 0 that falls off far
+faster than on the scale 1/(n f(0)) that a finite positive density at 0
+sets, as the mixture p e^-y + q e^-(lam y) with lam far above n has.
+Where it holds, the quadrature may accept its panel at 0 at G10's 10
+nodes, on a null-rule estimate of their error from which such a faster
+part can hide.  Every log-concave law qualifies, since its hazard never
+falls; the four built-in laws with a finite positive f(0) set it, and a
+law that leaves it False takes K21 on that panel as on every other.
 """
 
 from __future__ import annotations
@@ -44,6 +53,9 @@ class Distribution:
     # log(int_b^inf S^n / S(b)^n) as a function of (n, b); None = no closed
     # form, and then the survival must be log-concave
     log_mean_residual: Optional[Callable[[int, float], float]] = None
+    # no part of S^n near 0 falls off far faster than on the scale
+    # 1/(n f(0)), so G10 may stand alone on the panel at 0
+    single_scale: bool = False
 
 
 def half_normal() -> Distribution:
@@ -53,6 +65,7 @@ def half_normal() -> Distribution:
         log_survival=log_erfc,
         density_at_zero=2.0 / SQRT_PI,
         support_upper=math.inf,
+        single_scale=True,
     )
 
 
@@ -68,6 +81,7 @@ def exponential(rate: float) -> Distribution:
         density_at_zero=rate,
         support_upper=math.inf,
         log_mean_residual=lambda n, b: -math.log(n) - log_rate,
+        single_scale=True,
     )
 
 
@@ -80,6 +94,7 @@ def uniform01() -> Distribution:
         density_at_zero=1.0,
         support_upper=1.0,
         log_mean_residual=lambda n, b: math.log1p(-b) - math.log(n + 1) if b < 1.0 else -math.inf,
+        single_scale=True,
     )
 
 
@@ -124,4 +139,5 @@ def heavy_tail(alpha: float) -> Distribution:
         density_at_zero=alpha,
         support_upper=math.inf,
         log_mean_residual=log_mean_residual,
+        single_scale=True,
     )

@@ -72,22 +72,31 @@ The panels between consecutive bounds up to y* are integrated by one
 nested sequence of rules, G10, K21 and K43: QUADPACK's 10/21-point
 Gauss-Kronrod pair (qk21) and Patterson's 22 further nodes, as QUADPACK's
 qng adds them.  Each rule reuses the values of the rules before it.  On
-the panel at 0 of a law with a finite positive f(0), which the first
-width sizes so that the integrand falls only to about e^-4 across it and
-which holds most of the value, the sequence starts at G10 itself: its 10
-values alone give the discrete Legendre coefficients c_6 ... c_9 of its
-null rules (Berntsen and Espelid, ACM TOMS 17, 1991), and where they fall
-fast enough, their rate of fall estimates G10's own error.  A panel whose
-estimate fits is accepted at 10 evaluations; elsewhere the 11 Kronrod
-nodes join the 10 values, and the panel goes on as any other, bit for
-bit.  The estimate is tried only under a finite resolution cap (below),
-and not at a cusp: where f(0) is 0 or infinite, the coefficients fall
-only as a power of their index, and their rate understates the error
-(tried where f(0) = inf, S = 1 - sqrt(y) at n = 1 came back 5.2x over
-its bound).  From K21 on, a rule's error estimate is its difference d
-from the rule before, |K21 - G10| or |K43 - K21|, one exact sum, so it
-is not a whole number of ulps of the panel's value.  That is the error
-of the rule before, mostly far above the rule's own.  So a panel whose d misses its tolerance is judged again
+the panel at 0 of a law with a finite positive f(0) and a single scale
+(Distribution.single_scale), which the first width sizes so that the
+integrand falls only to about e^-4 across it and which holds most of the
+value, the sequence starts at G10 itself: its 10 values alone give the
+discrete Legendre coefficients c_4 ... c_9 of its null rules (Berntsen
+and Espelid, ACM TOMS 17, 1991).  Where e1 = |(c_9, c_8)| is at most
+_NULL_RATIO of e2 = |(c_7, c_6)|, and e1/e2 is at most e2/e3, e3 =
+|(c_5, c_4)|, so that the fall does not slow, its rate estimates G10's
+own error.  Values at one node alone fall too slowly for the first test,
+as a part that falls off far faster than the rest, seen only by G10's
+outermost node, gives them; the floor that such a part puts under the
+slow part's falling coefficients fails the second.  A faster part that
+stays below the slow part's own coefficients shows in neither, which is
+why a law must declare a single scale.  A panel whose estimate fits is
+accepted at 10 evaluations; elsewhere the 11 Kronrod nodes join the 10
+values, and the panel goes on as any other, bit for bit.  The estimate is
+tried only under a finite resolution cap (below), and not at a cusp:
+where f(0) is 0 or infinite, the coefficients fall only as a power of
+their index, and their rate understates the error (tried where f(0) =
+inf, S = 1 - sqrt(y) at n = 1 came back 5.2x over its bound).  From K21
+on, a rule's error estimate is its difference d from the rule before,
+|K21 - G10| or |K43 - K21|, one exact sum, so it is not a whole number
+of ulps of the panel's value.  That is the error of the rule before,
+mostly far above the rule's own.  So a panel whose d misses its
+tolerance is judged again
 by QUADPACK's scaled estimate resasc min(1, (200 d / resasc)^1.5), where
 resasc is K21's integral of |f - its mean| over the panel, before it goes
 on from K21 to K43, or from K43 to a split.  The scale is formed only on
@@ -175,21 +184,22 @@ _XK = _XK_HALF + tuple(-x for x in _XK_HALF[-2::-1])
 _WK = _WK_HALF + _WK_HALF[-2::-1]
 _WG = _WG_HALF + _WG_HALF[::-1]
 _XG = _XK[1::2]
-# the orthonormal Legendre polynomials sqrt(j + 1/2) P_j, j = 6 ... 9, at
-# the five positive Gauss nodes, largest first, one row each: G10 sums them
-# with the values into the discrete Legendre coefficients c_j of its null
-# rules (Berntsen and Espelid, ACM TOMS 17, 1991); p_j(-x) = (-1)^j p_j(x)
-_NULL_HALF = (
-    (1.32545872332198805037219319760107, -0.95940710085358579600073808107183, -0.148242941048368969825234273149191,
-     0.818980969843994204499181962184441, -0.450155115490100501790970017192487),
-    (1.06550723264983549057886619760407, -1.12182077781099412872673289305627, 0.574222650199226928127202290963919,
-     0.189928810166809661420660224388181, -0.722517299427113626158426169799122),
-    (0.745096367001693362424905205590347, -0.977114109148436619677384572170649, 0.927071282666612943207088096295911,
-     -0.655166309771497740805621340949567, 0.235717573570054033045183943238276),
-    (0.383121405265481869907325695910232, -0.565638043679299150037177068853373, 0.683317774591849447193023568098175,
-     -0.757022022188756866220015422700257, 0.79289077313499564577209584142575),
-)
-_NULL = tuple(row + tuple(v if j % 2 == 0 else -v for v in row[::-1]) for j, row in enumerate(_NULL_HALF, 6))
+
+
+def _orthonormal_legendre(j, x):
+    """sqrt(j + 1/2) P_j(x), P_j by its three-term recurrence."""
+    p0, p1 = 1.0, x
+    for k in range(1, j):
+        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+    return math.sqrt(j + 0.5) * p1
+
+
+# G10's null rules (Berntsen and Espelid, ACM TOMS 17, 1991), j = 4 ... 9, one
+# row each: the Gauss weights times the orthonormal Legendre polynomial p_j at
+# the five positive Gauss nodes, largest first.  Summed with the values they
+# give the discrete Legendre coefficients c_j, and p_j(-x) = (-1)^j p_j(x)
+# weighs the values at the negative nodes
+_NULL_HALF = tuple(tuple(w * _orthonormal_legendre(j, x) for w, x in zip(_WG_HALF, _XG)) for j in range(4, 10))
 # Patterson's optimal addition of 22 nodes to qk21 (Math. Comp. 22, 1968), as
 # in QUADPACK's qng: the new nodes, largest first, and the 43 weights of K43
 # in the order of its nodes, largest first, where the 21 Kronrod nodes are
@@ -233,13 +243,18 @@ _W43_HALF = (
 )
 _XP = _XP_HALF + tuple(-x for x in _XP_HALF[::-1])
 _W43 = _W43_HALF + _W43_HALF[-2::-1]
-# The nested rules K21 and K43, one row each: the nodes a rule adds, its
-# weights and those of its difference from the rule before, over the values
-# of the rules before it followed by those at its new nodes.  G10 reads the
-# Kronrod values at odd indices, and K43 weighs them by its odd-index weights
+# The nested rules G10, K21 and K43, one row each: a rule's nodes, its
+# weights and those of its difference from the rule before, each in the
+# order of its values, those of the rules before it first: G10's nodes,
+# then Kronrod's 11, then Patterson's 22.  G10 has no rule before it: its
+# null rules estimate its error
+_W21 = _WK[1::2] + _WK[0::2]
+_W43_AT_K21 = _W43[3::4] + _W43[1::4]
 _RULES = (
-    (_XK, _WK, tuple(w - _WG[i // 2] if i % 2 else w for i, w in enumerate(_WK))),
-    (_XP, _W43[1::2] + _W43[0::2], tuple(w - wk for w, wk in zip(_W43[1::2], _WK)) + _W43[0::2]),
+    (_XG, _WG, None),
+    (_XG + _XK[0::2], _W21, tuple(w - g for w, g in zip(_W21, _WG)) + _WK[0::2]),
+    (_XG + _XK[0::2] + _XP, _W43_AT_K21 + _W43[0::2],
+     tuple(w - k for w, k in zip(_W43_AT_K21, _W21)) + _W43[0::2]),
 )
 
 _TAIL_RATIO_CAP = 0.95  # per doubling; the grid's blocks span two doublings
@@ -277,6 +292,10 @@ _CUSP_RATIO = 3.1e-4
 _PANEL_ROUNDING = 4e-16
 # the safety factor K of G10's null-rule estimate K e1 (e1/e2)^5.5
 _NULL_FACTOR = 2.0
+# the estimate stands only where e1 <= _NULL_RATIO e2: values at one node
+# alone, as of a part of the integrand that only G10's outermost node sees,
+# give e1/e2 = 0.49, and the first panels of the built-in laws about 0.02
+_NULL_RATIO = 0.25
 # a panel that ends at the support's end is split while the integrand at
 # its node nearest that end is above this: it drops to 0 between them
 _END_CEILING = math.exp(-1.0)
@@ -302,30 +321,33 @@ def _values(log_s, n, a, b, nodes):
 
 
 def _rule(log_s, n, a, b, nodes, weights, diffs, fx):
-    """One rule of _RULES on [a, b], evaluated at the nodes it adds after
-    the values fx of the rules before it.  Returns the rule's value, the
-    error estimate |this rule - the rule before|, one exact sum, and all
-    the values."""
+    """One rule of _RULES after G10 on [a, b], evaluated at those of its
+    nodes that the values fx in hand, of the rules before it, lack.
+    Returns the rule's value, the error estimate |this rule - the rule
+    before|, one exact sum, and all the values."""
     h = 0.5 * (b - a)
-    fx = fx + _values(log_s, n, a, b, nodes)
+    fx = fx + _values(log_s, n, a, b, nodes[len(fx):])
     return h * math.fsum(map(operator.mul, weights, fx)), abs(h * math.fsum(map(operator.mul, diffs, fx))), fx
 
 
-def _gauss(log_s, n, a, b):
-    """G10 on [a, b] and a null-rule estimate of its own error: with c_j =
-    h sum_i w_i p_j(x_i) f_i, e1 = |(c_9, c_8)| and e2 = |(c_7, c_6)|, it is
-    _NULL_FACTOR e1 (e1/e2)^5.5 where the coefficients fall, e2 > 0 and
-    e1 <= e2/2, floored at eps/2 of the value, and inf where they do not.
-    Returns the value, the estimate and the 10 values."""
-    h = 0.5 * (b - a)
-    fx = _values(log_s, n, a, b, _XG)
-    wf = list(map(operator.mul, _WG, fx))
-    value = h * math.fsum(wf)
-    c6, c7, c8, c9 = (math.fsum(map(operator.mul, row, wf)) for row in _NULL)
-    e1, e2 = math.hypot(c9, c8), math.hypot(c7, c6)
-    if not (e2 > 0.0 and e1 <= 0.5 * e2):
-        return value, math.inf, fx
-    return value, max(h * _NULL_FACTOR * e1 * (e1 / e2) ** 5.5, 0.5 * sys.float_info.epsilon * abs(value)), fx
+def _gauss(h, fx):
+    """G10 on a panel of half-width h, from its 10 values fx, and a null-rule
+    estimate of its own error: with c_j = h sum_i w_i p_j(x_i) f_i, e1 =
+    |(c_9, c_8)|, e2 = |(c_7, c_6)| and e3 = |(c_5, c_4)|, it is
+    _NULL_FACTOR e1 (e1/e2)^5.5 where the coefficients fall and do not slow,
+    e2 > 0, e1 <= _NULL_RATIO e2 and e1/e2 <= e2/e3, floored at eps/2 of
+    the value, and inf where they do not.  The nodes pair as x and -x, so
+    each c_j sums five products, of its null rule with the values at each
+    pair, added for even j and subtracted for odd j."""
+    mirror = fx[:4:-1]
+    even, odd = list(map(operator.add, fx, mirror)), list(map(operator.sub, fx, mirror))
+    c4, c6, c8 = [math.fsum(map(operator.mul, row, even)) for row in _NULL_HALF[0::2]]
+    c5, c7, c9 = [math.fsum(map(operator.mul, row, odd)) for row in _NULL_HALF[1::2]]
+    e1, e2, e3 = math.hypot(c9, c8), math.hypot(c7, c6), math.hypot(c5, c4)
+    value = h * math.fsum(map(operator.mul, _WG, fx))
+    if not (e2 > 0.0 and e1 <= _NULL_RATIO * e2 and e1 * e3 <= e2 * e2):
+        return value, math.inf
+    return value, max(h * _NULL_FACTOR * e1 * (e1 / e2) ** 5.5, 0.5 * sys.float_info.epsilon * abs(value))
 
 
 def _smooth_at_zero(dist):
@@ -363,24 +385,24 @@ def _integrate_mesh(dist, n, bounds, budget, cap, chord):
     that what it leaves unused passes on to the panels after it.  The
     estimates are tried in turn, each only where the one before misses:
     G10's null-rule estimate, on the panel at 0 of a law with a finite
-    positive f(0) where ``cap`` is finite, |K21 - G10| once the 11 Kronrod
-    nodes join those 10 values (or, on any other panel, all 21 nodes), its
-    QUADPACK scale, |K43 - K21| once the panel extends to K43, and the
-    scale of that (at 0 where f(0) = 0, K43's error is at least
+    positive f(0) and a single scale where ``cap`` is finite, |K21 - G10|
+    once the 11 Kronrod nodes join those 10 values (or, on any other panel,
+    all 21 nodes), its QUADPACK scale, |K43 - K21| once the panel extends to
+    K43, and the scale of that (at 0 where f(0) = 0, K43's error is at least
     _CUSP_RATIO |K21 - G10|, as the module docstring says).  A panel that
     ends at the support's end is not accepted while the integrand at its
     node nearest that end is above e^-1.  A panel that is not accepted is
     accepted anyway when splitting it would take the accepted and pending
-    panels past _MAX_LEAVES; otherwise it is split in two: a quarter of
-    its width from the support's end for such a cliff, else at its
-    midpoint or, for a panel at 0, at a quarter; each half starts again at
-    its first rule.
+    panels past _MAX_LEAVES; otherwise it is split in two: a quarter of its
+    width from the support's end for such a cliff, else at its midpoint or,
+    for a panel at 0, at a quarter; each half starts again at its first
+    rule.
     A panel beyond the b of ``chord``, where not None, checks it with the
     K21 value at its node nearest its right end, a normal float, where a
     bend shows most.  Returns (value, error, leaves)."""
     log_s = dist.log_survival
     cusp = dist.density_at_zero == 0.0
-    gauss_first = _smooth_at_zero(dist) and cap < math.inf
+    gauss_first = dist.single_scale and _smooth_at_zero(dist) and cap < math.inf
     values, errors = [], []
     stack = [(a, b, 1.0) for a, b in zip(bounds, bounds[1:])]
     stack.reverse()  # left to right: a budget that runs out is spent near 0
@@ -390,35 +412,33 @@ def _integrate_mesh(dist, n, bounds, budget, cap, chord):
         # the last pending panel takes all that is left, however the sum of
         # the shares has rounded
         tol = min(cap, left * share / pending if stack else left)
+        fx, value, err = [], 0.0, math.inf
         if gauss_first and a == 0.0:
-            value, err, fx = _gauss(log_s, n, a, b)
-            if not _fits(err, tol, value):
-                # the 11 Kronrod nodes join the 10 Gauss values in hand,
-                # which K21's row reads at its odd indices
-                gauss, fx = fx, [0.0] * 21
-                fx[0::2], fx[1::2] = _values(log_s, n, a, b, _XK[0::2]), gauss
-                value, err, fx = _rule(log_s, n, a, b, (), *_RULES[0][1:], fx)
-        else:
-            value, err, fx = _rule(log_s, n, a, b, *_RULES[0], [])
-        if chord is not None and a >= chord[2] and fx[0] >= sys.float_info.min:
-            # the log of a rounded exp is off by up to eps/2 even where the
-            # exp rounds to 1 and the log to 0
-            _check_chord(dist.name, chord, 0.5 * (a + b) + 0.5 * (b - a) * _XK[0], math.log(fx[0]), 1.0)
+            fx = _values(log_s, n, a, b, _RULES[0][0])
+            value, err = _gauss(0.5 * (b - a), fx)
+        end = 0  # the index of the value at the node nearest b: G10's, then K21's
         if not _fits(err, tol, value):
-            # QUADPACK's scale, formed only on a miss, from the K21 values in
-            # hand: on every panel it costs more time than it saves
-            coarse, mean = err, value / (b - a)
-            resasc = 0.5 * (b - a) * math.fsum(w * abs(f - mean) for w, f in zip(_WK, fx))
-            err = _scaled(err, resasc)
+            value, err, fx = _rule(log_s, n, a, b, *_RULES[1], fx)
+            end = 10
+            if chord is not None and a >= chord[2] and fx[end] >= sys.float_info.min:
+                # the log of a rounded exp is off by up to eps/2 even where
+                # the exp rounds to 1 and the log to 0
+                _check_chord(dist.name, chord, 0.5 * (a + b) + 0.5 * (b - a) * _XK[0], math.log(fx[end]), 1.0)
             if not _fits(err, tol, value):
-                value, diff, fx = _rule(log_s, n, a, b, *_RULES[1], fx)
-                floor = _CUSP_RATIO * coarse if a == 0.0 and cusp else 0.0
-                err = max(diff, floor)
+                # QUADPACK's scale, formed only on a miss, from the K21 values
+                # in hand: on every panel it costs more time than it saves
+                coarse, mean = err, value / (b - a)
+                resasc = 0.5 * (b - a) * math.fsum(w * abs(f - mean) for w, f in zip(_W21, fx))
+                err = _scaled(err, resasc)
                 if not _fits(err, tol, value):
-                    err = max(_scaled(diff, resasc), floor)
+                    value, diff, fx = _rule(log_s, n, a, b, *_RULES[2], fx)
+                    floor = _CUSP_RATIO * coarse if a == 0.0 and cusp else 0.0
+                    err = max(diff, floor)
+                    if not _fits(err, tol, value):
+                        err = max(_scaled(diff, resasc), floor)
         # the integrand drops to 0 between the node nearest the support's
         # end and that end, unseen, as at 1 - O(1/k) for power_law(k)
-        cliff = b == dist.support_upper and fx[0] > _END_CEILING
+        cliff = b == dist.support_upper and fx[end] > _END_CEILING
         if (_fits(err, tol, value) and not cliff) or len(values) + len(stack) + 2 > _MAX_LEAVES:
             values.append(value)
             errors.append(err)

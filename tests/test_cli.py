@@ -284,7 +284,7 @@ class TestPinnedOutput:
                             "--format", "csv"], capsys)
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "668183e9dae56874ab38ee6344caf1411a508745ab8da51a37a413b5cfd64968")
+            "ffa348188bfd4719ad552ff29d506a4c0f1afedafb97bdf7942107652d87da70")
 
     def test_verify_digest(self, capsys):
         code, out, _ = run(["verify", "--seed", "42"], capsys)

@@ -21,7 +21,7 @@ from spheremin.distributions import Distribution, exponential, half_normal, heav
 from spheremin.errors import HypothesisViolatedError, InvalidToleranceError, NonConvergentError
 from spheremin import quadrature
 from spheremin.minima import asymptotic_min, emin, expected_min, nmin
-from spheremin.quadrature import _NULL, _RULES, _W43, _WG, _WK, _XG, _XK, _XP, _chord, survival_power_integral
+from spheremin.quadrature import _NULL_HALF, _RULES, _W43, _WG, _WK, _XG, _XK, _XP, _chord, survival_power_integral
 from spheremin.special import gamma_ratio
 
 INV_SQRT_PI = 0.5641895835477563
@@ -378,9 +378,9 @@ def test_cusp_ratio_bounds_k43_error_on_a_cusp():
     # is largest as alpha -> 1, where it is the ratio of their errors on
     # x log x, 3.0e-4; the nodes are the table's floats, as the panels use them
     def errors(f, exact):
-        values = [f((1 + mp.mpf(x)) / 2) for x in _XK + _XP]
-        g10, k21, k43 = (mp.fsum(mp.mpf(w) * v for w, v in zip(ws, vs)) / 2 - exact
-                         for ws, vs in ((_WG, values[1:21:2]), (_WK, values), (_RULES[1][1], values)))
+        values = [f((1 + mp.mpf(x)) / 2) for x in _RULES[2][0]]
+        g10, k21, k43 = (mp.fsum(mp.mpf(w) * v for w, v in zip(ws, values)) / 2 - exact
+                         for _, ws, _ in _RULES)
         return abs(k43) / abs(k21 - g10)
 
     with mp.workdps(40):
@@ -428,7 +428,7 @@ def test_kronrod_table_is_exact():
             gauss = math.fsum(w * x**k for w, x in zip(_WG, _XK[1::2]))
             assert abs(gauss - exact) <= 1e-15
             # the weights of the panel error K21 - G10 integrate them to 0
-            assert abs(math.fsum(w * x**k for w, x in zip(_RULES[0][2], _XK))) <= 1e-15
+            assert abs(math.fsum(w * x**k for w, x in zip(_RULES[1][2], _RULES[1][0]))) <= 1e-15
 
 
 def _legendre(k, x):
@@ -448,16 +448,19 @@ def test_patterson_table_is_exact():
     assert len(set(x43)) == len(_W43) == 43
     assert x43[1::2] == list(_XK)
     assert all(w > 0 for w in _W43)
-    # the K43 row of _RULES weighs the values in the order its rule forms
-    # them, those at the Kronrod nodes first
-    assert sorted(zip(_XK + _XP, _RULES[1][1]), reverse=True) == list(zip(x43, _W43))
+    # the rows of _RULES hold each rule's nodes and weights in the order of
+    # its values, those of the rules before it first: G10's, Kronrod's, then
+    # Patterson's
+    assert _RULES[2][0][:21] == _RULES[1][0] and _RULES[1][0][:10] == _RULES[0][0] == _XG
+    assert sorted(zip(*_RULES[1][:2]), reverse=True) == list(zip(_XK, _WK))
+    assert sorted(zip(*_RULES[2][:2]), reverse=True) == list(zip(x43, _W43))
     for k in range(65):
         rule = math.fsum(w * _legendre(k, x) for w, x in zip(_W43, x43))
         assert abs(rule - (2.0 if k == 0 else 0.0)) <= 1e-15
         if k <= 31:
             # the weights of the panel error K43 - K21 integrate those of
             # K21's degree to 0
-            diff = math.fsum(w * _legendre(k, x) for w, x in zip(_RULES[1][2], _XK + _XP))
+            diff = math.fsum(w * _legendre(k, x) for w, x in zip(_RULES[2][2], _RULES[2][0]))
             assert abs(diff) <= 1e-15
     assert abs(math.fsum(w * _legendre(66, x) for w, x in zip(_W43, x43))) > 1e-6
 
@@ -508,27 +511,23 @@ def test_patterson_nodes_match_their_derivation():
             assert abs(t - float(e)) <= math.ulp(t)
 
 
-def test_null_rule_rows_match_their_derivation():
-    # G10's null rules read the orthonormal Legendre polynomials
-    # p_j = sqrt(j + 1/2) P_j, j = 6 ... 9, at its nodes, the roots of P_10:
-    # at 60 digits each entry is within 1 ulp of the table.  G10 integrates
-    # p_i p_j to delta_ij for i + j <= 19, so the coefficient c_j it forms
-    # reads 0 on every polynomial of degree below j, and c_j of p_j reads 1
+def test_null_rules_read_the_legendre_coefficients():
+    # G10's null rules weigh its values by w_i p_j(x_i), p_j = sqrt(j + 1/2)
+    # P_j, j = 4 ... 9, at its nodes, the roots of P_10 (each within 1 ulp of
+    # 60 digits), mirrored by p_j(-x) = (-1)^j p_j(x).  G10 integrates p_j p_k
+    # to delta_jk for j + k <= 19, so the coefficient c_j of the values of
+    # p_k reads delta_jk for every k <= 9: 0 on every polynomial of degree
+    # below j, and 1 on p_j
     with mp.workdps(60):
         nodes = _roots(mp.taylor(lambda x: mp.legendre(10, x), 0, 10))
-        exact = [[mp.sqrt(j + mp.mpf(1) / 2) * mp.legendre(j, x) for x in nodes] for j in range(10)]
+        p = [[float(mp.sqrt(k + mp.mpf(1) / 2) * mp.legendre(k, x)) for x in nodes] for k in range(10)]
     for x, e in zip(_XG, nodes):
         assert abs(x - float(e)) <= math.ulp(x)
-    assert len(_NULL) == 4
-    for row, e_row in zip(_NULL, exact[6:]):
-        assert len(row) == 10
-        for t, e in zip(row, e_row):
-            assert abs(t - float(e)) <= math.ulp(t)
-    rows = [[float(v) for v in row] for row in exact[:6]] + [list(row) for row in _NULL]
-    for i, p in enumerate(rows):
-        for j, q in enumerate(rows):
-            gauss = math.fsum(w * a * b for w, a, b in zip(_WG, p, q))
-            assert abs(gauss - (1.0 if i == j else 0.0)) <= 1e-15
+    assert len(_NULL_HALF) == 6 and all(len(row) == 5 for row in _NULL_HALF)
+    for j, row in enumerate(_NULL_HALF, 4):
+        rule = list(row) + [(-1) ** j * w for w in row[::-1]]
+        for k in range(10):
+            assert abs(math.fsum(w * v for w, v in zip(rule, p[k])) - (1.0 if j == k else 0.0)) <= 1e-15
 
 
 def _exact(family, param, n):
@@ -633,15 +632,17 @@ def test_scaled_estimate_evaluation_count(family, param, n, limit):
     assert len(calls) <= limit
 
 
-def test_smooth_panel_at_zero_stops_at_g10():
+@pytest.mark.parametrize("single_scale,count", [(True, 12), (False, 23)])
+def test_smooth_panel_at_zero_stops_at_g10(single_scale, count):
     # the panel [0, b_0] of a law with a finite positive f(0) holds the
     # integrand from 1 to about e^-4, on which G10 alone is accurate, and
     # its null-rule estimate says so: the grid's 2 evaluations and G10's 10,
-    # where K21 took 23
-    counted, calls = _counting(exponential(1.3))
+    # where K21 takes 23, as it still does for a law that does not declare
+    # a single scale
+    counted, calls = _counting(replace(exponential(1.3), single_scale=single_scale))
     res = expected_min(counted, 10**4)
     assert res.converged and res.panels == 1
-    assert len(calls) == 12
+    assert len(calls) == count
 
 
 def _pole(eps, alpha):
@@ -652,7 +653,7 @@ def _pole(eps, alpha):
         return math.log(eps + b) - math.log(n) - math.log(alpha) - math.log1p(-1.0 / (n * alpha))
 
     return Distribution(f"pole:{eps:g}:{alpha:g}", lambda y: -alpha * math.log1p(y / eps), alpha / eps, math.inf,
-                        log_mean_residual)
+                        log_mean_residual, single_scale=True)
 
 
 @pytest.mark.parametrize("alpha", [0.55, 2.0, 20.0])
@@ -668,6 +669,52 @@ def test_null_rule_estimate_is_honest_near_a_pole(eps, alpha):
             res = survival_power_integral(dist, n, tol)
             assert res.converged
             _assert_honest(res, exact)
+
+
+def _spike(q, lam, single_scale=False):
+    """S = p e^-y + q e^-(lam y), p = 1 - q, whose fast part falls off long
+    before the slow one, with its exact remainder at n = 1,
+    log(p e^-b + (q/lam) e^-(lam b)) - log S(b); its mean is p + q/lam."""
+    p = 1.0 - q
+
+    def log_survival(y):
+        return math.log(p * math.exp(-y) + q * math.exp(-lam * y))
+
+    def log_mean_residual(n, b):
+        return math.log(p * math.exp(-b) + q / lam * math.exp(-lam * b)) - log_survival(b)
+
+    return (Distribution(f"spike:{q:g}:{lam:g}", log_survival, p + q * lam, math.inf, log_mean_residual,
+                         single_scale=single_scale), p + q / lam)
+
+
+@pytest.mark.parametrize("lam", [1e3, 3e3, 1e4, 1e5, 1e7])
+def test_null_rule_estimate_needs_falling_coefficients(lam):
+    # a law that claims a single scale wrongly: on [0, b_0] the fast part
+    # 0.003 e^-(lam y) has fallen off before all of G10's nodes but the
+    # outermost, which shows in c_8 and c_9 as a floor under the slow part's
+    # falling coefficients (lam = 1e3, 3e3: e1/e2 = 0.04, 0.08, but e2/e3 =
+    # 0.0015, 0.0003), or alone sets c_4 ... c_9 in the ratio of p_j at
+    # that node (lam >= 1e5: e1/e2 = 0.49, which a test of e1 <= e2/2 took
+    # for decay).  G10 was accepted with errors of 3e-6 ... 3e-10 and bounds
+    # near 5e-15; K21's outermost node sees the fast part
+    dist, exact = _spike(0.003, lam, single_scale=True)
+    for tol in (1e-10, 1e-13):
+        res = survival_power_integral(dist, 1, tol)
+        assert res.converged
+        _assert_honest(res, exact)
+
+
+@pytest.mark.parametrize("lam", [1e3, 3e3])
+def test_faster_part_below_the_slow_coefficients_needs_k21(lam):
+    # the fast part 1e-4 e^-(lam y) shows in none of G10's coefficients
+    # above the slow part's own: a law that claimed a single scale would
+    # stop at G10 with errors of 1e-7 and 3e-8 against bounds of 3e-15, so
+    # a law that does not claim one takes K21 on the panel at 0, which sees it
+    dist, exact = _spike(1e-4, lam)
+    for tol in (1e-10, 1e-13):
+        res = survival_power_integral(dist, 1, tol)
+        assert res.converged
+        _assert_honest(res, exact)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])

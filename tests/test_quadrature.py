@@ -5,6 +5,7 @@ Closed forms: exponential(rate) gives 1/(n*rate); uniform01 gives
 Half-normal n=2 is the mpmath oracle for the integral of erfc^2.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from spheremin.distributions import Distribution, exponential, half_normal, heavy_tail, power_law, uniform01
-from spheremin.errors import HypothesisViolatedError, InvalidToleranceError, NonConvergentError
+from spheremin.errors import HypothesisViolatedError, InvalidToleranceError, NonConvergentError, SphereMinError
 from spheremin import quadrature
 from spheremin.minima import asymptotic_min, emin, expected_min, nmin
 from spheremin.quadrature import _NULL_HALF, _RULES, _W43, _WG, _WK, _XG, _XK, _XP, _chord, survival_power_integral
@@ -643,6 +644,30 @@ def test_smooth_panel_at_zero_stops_at_g10(single_scale, count):
     res = expected_min(counted, 10**4)
     assert res.converged and res.panels == 1
     assert len(calls) == count
+
+
+def test_survival_power_integral_digest():
+    # every bit a call hands on, and its log_survival calls, over laws that
+    # stop at each rule: the panel at 0 at G10 (the four laws with a finite
+    # positive f(0)), at K21 and at K43, under the cusp floor (the power law
+    # where K21's error on y^k crosses zero, near k = 2.022), and split at
+    # the cliff of power_law(1.5e4); heavy_tail(0.35) raises at n = 3, where
+    # n alpha = 1.05, and at n <= 2
+    laws = [half_normal(), exponential(1.3), uniform01(), power_law(3.3), power_law(1.5e4),
+            power_law(2.0222447127092806), heavy_tail(2.2), heavy_tail(0.35)]
+    digest = hashlib.sha256()
+    for dist in laws:
+        for n in (1, 2, 3, 10, 219, 10**3, 10**6, 10**12):
+            for tol in (1e-4, 1e-10, 1e-13, 1e-16):
+                counted, calls = _counting(dist)
+                try:
+                    r = survival_power_integral(counted, n, tol)
+                    line = (f"{r.value.hex()} {r.error_bound.hex()} {r.converged} "
+                            f"{r.truncation_point.hex()} {r.panels}")
+                except SphereMinError as e:
+                    line = type(e).__name__
+                digest.update(f"{dist.name} {n} {tol!r} {line} {len(calls)}\n".encode())
+    assert digest.hexdigest() == "308a552374d6560295f9e8f2ff250aa706d282c612b8f79a3e5df51b4a6edf54"
 
 
 def _pole(eps, alpha):

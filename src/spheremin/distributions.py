@@ -10,7 +10,8 @@ limit: the asymptotic constant 1/(f(0)(n+1)) is exactly sensitive to it
 and one-sided numerical differentiation at a support boundary is
 ill-conditioned.  ``None`` marks "undefined"; ``math.inf`` is allowed.
 
-Support is always [0, inf) or a bounded [0, support_upper].
+Support is always [0, inf) or a bounded [0, support_upper], with
+support_upper > 0, which the constructor checks.
 
 ``log_mean_residual`` is the exact tail: log_mean_residual(n, b) =
 log(int_b^inf S^n / S(b)^n), which the quadrature adds to n log S(b).
@@ -32,7 +33,11 @@ Where it holds, the quadrature may accept its panel at 0 at G10's 10
 nodes, on a null-rule estimate of their error from which such a faster
 part can hide.  Every log-concave law qualifies, since its hazard never
 falls; the four built-in laws with a finite positive f(0) set it, and a
-law that leaves it False takes K21 on that panel as on every other.
+law that leaves it False takes K21 on that panel as on every other.  The
+heavy tail is not log-concave, but its hazard alpha/(1 + y) falls only on
+the scale 1 + y, and the panel at 0 ends at b_0 <= 1, so across it the
+hazard falls by at most a factor of 2: no part of S^n there falls off far
+faster than the rest.
 """
 
 from __future__ import annotations
@@ -56,6 +61,21 @@ class Distribution:
     # no part of S^n near 0 falls off far faster than on the scale
     # 1/(n f(0)), so G10 may stand alone on the panel at 0
     single_scale: bool = False
+
+    def __post_init__(self):
+        # the variable is nonnegative, so its support [0, support_upper] must
+        # hold more than the point 0; a NaN fails the test too
+        if not self.support_upper > 0.0:
+            raise ValueError(f"{self.name}: support_upper must be > 0, got {self.support_upper!r}")
+
+
+def _smooth_at_zero(dist: Distribution) -> bool:
+    """Whether the law's density at 0 is finite and positive: the asymptote
+    1/(f(0)(n+1)) needs it, and then S^n falls from 1 on the scale
+    1/(n f(0)), with no cusp at 0, where the quadrature sizes its first
+    panel."""
+    f0 = dist.density_at_zero
+    return f0 is not None and math.isfinite(f0) and f0 > 0.0
 
 
 def half_normal() -> Distribution:

@@ -16,7 +16,7 @@ import dataclasses
 import math
 import sys
 
-from .distributions import Distribution, half_normal
+from .distributions import Distribution, _smooth_at_zero, half_normal
 from .errors import HypothesisViolatedError, _check_int, _check_tol
 from .quadrature import MinResult, survival_power_integral
 from .special import gamma_ratio
@@ -62,7 +62,7 @@ def asymptotic_min(dist: Distribution, n: int) -> MinResult:
     """
     _check_int("n", n)
     f0 = dist.density_at_zero
-    if f0 is None or not math.isfinite(f0) or f0 <= 0.0:
+    if not _smooth_at_zero(dist):
         raise HypothesisViolatedError(
             "density",
             f"{dist.name}: asymptotic minimum needs a finite nonvanishing "

@@ -69,15 +69,21 @@ heavy tail, exactly when n * alpha <= 1.074), so the expected minimum is
 divergent or nearly so.
 
 The panels between consecutive bounds up to y* are integrated by one
-nested sequence of rules, G10, K21 and K43: QUADPACK's 10/21-point
-Gauss-Kronrod pair (qk21) and Patterson's 22 further nodes, as QUADPACK's
-qng adds them.  Each rule reuses the values of the rules before it.  On
-the panel at 0 of a law with a finite positive f(0) and a single scale
-(Distribution.single_scale), which the first width sizes so that the
-integrand falls only to about e^-4 across it and which holds most of the
-value, the sequence starts at G10 itself: its 10 values alone give the
-discrete Legendre coefficients c_4 ... c_9 of its null rules (Berntsen
-and Espelid, ACM TOMS 17, 1991).  Where e1 = |(c_9, c_8)| is at most
+ladder of nested rules, the rows of _RULES: G10, K21 and K43, that is
+QUADPACK's 10/21-point Gauss-Kronrod pair (qk21) and Patterson's 22
+further nodes, as QUADPACK's qng adds them.  A panel walks the rows in
+turn.  Each row evaluates only the nodes that the values in hand lack and
+takes its own error estimate, and the walk stops at the first estimate
+that fits the panel's tolerance.  It starts at G10 on the panel at 0 of a
+law with a finite positive f(0), a single scale
+(Distribution.single_scale) and a finite resolution cap (below), and at
+K21 everywhere else.
+
+G10's estimate is that of its null rules (Berntsen and Espelid, ACM TOMS
+17, 1991).  The first width sizes the panel at 0 so that the integrand
+falls only to about e^-4 across it, and that panel holds most of the
+value.  There G10's 10 values alone give the discrete Legendre
+coefficients c_4 ... c_9.  Where e1 = |(c_9, c_8)| is at most
 _NULL_RATIO of e2 = |(c_7, c_6)|, and e1/e2 is at most e2/e3, e3 =
 |(c_5, c_4)|, so that the fall does not slow, its rate estimates G10's
 own error.  Values at one node alone fall too slowly for the first test,
@@ -85,36 +91,35 @@ as a part that falls off far faster than the rest, seen only by G10's
 outermost node, gives them; the floor that such a part puts under the
 slow part's falling coefficients fails the second.  A faster part that
 stays below the slow part's own coefficients shows in neither, which is
-why a law must declare a single scale.  A panel whose estimate fits is
-accepted at 10 evaluations; elsewhere the 11 Kronrod nodes join the 10
-values, and the panel goes on as any other, bit for bit.  The estimate is
-tried only under a finite resolution cap (below), and not at a cusp:
-where f(0) is 0 or infinite, the coefficients fall only as a power of
-their index, and their rate understates the error (tried where f(0) =
-inf, S = 1 - sqrt(y) at n = 1 came back 5.2x over its bound).  From K21
-on, a rule's error estimate is its difference d from the rule before,
-|K21 - G10| or |K43 - K21|, one exact sum, so it is not a whole number
-of ulps of the panel's value.  That is the error of the rule before,
-mostly far above the rule's own.  So a panel whose d misses its
-tolerance is judged again
-by QUADPACK's scaled estimate resasc min(1, (200 d / resasc)^1.5), where
-resasc is K21's integral of |f - its mean| over the panel, before it goes
-on from K21 to K43, or from K43 to a split.  The scale is formed only on
-a miss, from the 21 values in hand: a panel whose d fits keeps d as its
-error, bit for bit, and a sum over 21 values on every panel would cost
-more time than the evaluations it saves.  At a cusp y^alpha, alpha > 1,
-as at 0 where f(0) = 0, d need not lie above the rule's own error: each
-rule's error falls only as its nodes^-(2 alpha + 2), and where K21's
-crosses zero (near alpha = 2.022), |K43 - K21| understates K43's.
-There K43's error is at least _CUSP_RATIO |K21 - G10|, unscaled, above
-their largest ratio on x^alpha, 3.0e-4 as alpha -> 1.  A panel that misses
-the tolerance at K43 too is bisected, and each half starts again at its
-first rule, within one budget of leaves per integral, so every call does
-bounded work.  A panel at 0 splits at a quarter instead, as the grid
-does: a cusp y^k at 0, as in the power law, gives a panel error that
-falls as its width^(k+1), so each split of [0, b] cuts it by 4^(k+1), not
-2^(k+1).  A panel that ends at the end of a bounded support is not
-accepted while the integrand at its node nearest that end is above e^-1,
+why a law must declare a single scale.  Nor does the estimate hold at a
+cusp: where f(0) is 0 or infinite, the coefficients fall only as a power
+of their index, and their rate understates the error (tried where f(0) =
+inf, S = 1 - sqrt(y) at n = 1 came back 5.2x over its bound).
+
+K21's and K43's estimate is the difference d from the rule before,
+|K21 - G10| or |K43 - K21|, one exact sum, so it is not a whole number of
+ulps of the panel's value.  That is the error of the rule before, mostly
+far above the rule's own.  So a row whose d misses the tolerance judges
+it again by QUADPACK's scaled estimate resasc min(1, (200 d / resasc)^1.5),
+where resasc is K21's integral of |f - its mean| over the panel.  The
+scale is formed once, on K21's miss, from its 21 values: a panel whose d
+fits keeps d as its error, bit for bit, and a sum over 21 values on every
+panel would cost more time than the evaluations it saves.  At a cusp
+y^alpha, alpha > 1, as at 0 where f(0) = 0, d need not lie above the
+rule's own error: each rule's error falls only as its nodes^-(2 alpha +
+2), and where K21's crosses zero (near alpha = 2.022), |K43 - K21|
+understates K43's.  There K43's estimate is floored at _CUSP_RATIO
+|K21 - G10|, unscaled, above their largest ratio on x^alpha, 3.0e-4 as
+alpha -> 1.
+
+A panel that misses the tolerance at K43 too is bisected, and each half
+walks the ladder again from its start, within one budget of leaves per
+integral, so every call does bounded work.  A panel at 0 splits at a
+quarter instead, as the grid does: a cusp y^k at 0, as in the power law,
+gives a panel error that falls as its width^(k+1), so each split of
+[0, b] cuts it by 4^(k+1), not 2^(k+1).  A panel that ends at the end of
+a bounded support is not accepted while the integrand at its node nearest
+that end (G10's where the walk stopped there, else K21's) is above e^-1,
 and splits a quarter of its width from that end: the integrand falls to
 0 there between that node and the end, unseen by every rule, as for
 power_law(k) with k >= 1e4, whose cliff lies within O(1/k) of 1.
@@ -142,7 +147,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .distributions import Distribution
+from .distributions import Distribution, _smooth_at_zero
 from .errors import HypothesisViolatedError, NonConvergentError, _check_int, _check_tol
 
 # QUADPACK qk21 (Piessens et al., 1983) on [-1, 1]: the 21 Kronrod nodes,
@@ -256,6 +261,8 @@ _RULES = (
     (_XG + _XK[0::2] + _XP, _W43_AT_K21 + _W43[0::2],
      tuple(w - k for w, k in zip(_W43_AT_K21, _W21)) + _W43[0::2]),
 )
+# the rows a panel walks where it does not start at G10
+_FROM_K21 = _RULES[1:]
 
 _TAIL_RATIO_CAP = 0.95  # per doubling; the grid's blocks span two doublings
 # the rounding of arg = n log S(y), per unit of |arg|, and of an exact
@@ -312,49 +319,34 @@ class MinResult:
     panels: Optional[int] = None  # accepted panels, each G10, K21 or K43
 
 
-def _values(log_s, n, a, b, nodes):
-    """The integrand exp(n * log_s(y)) at the nodes on [a, b], inline rather
-    than through a closure that would cost a call per node."""
+def _rule(log_s, n, a, b, nodes, weights, diffs, fx):
+    """One row of _RULES on [a, b], evaluated at those of its nodes that the
+    values fx in hand, of the rules before it, lack: the integrand
+    exp(n * log_s(y)), inline rather than through a closure that would cost
+    a call per node.  Returns the rule's value, its error estimate and all
+    the values.  A row with difference weights estimates |this rule - the
+    rule before|, one exact sum.  G10's row has none, and its estimate is
+    that of its null rules: with c_j = h sum_i w_i p_j(x_i) f_i, h the
+    half-width, e1 = |(c_9, c_8)|, e2 = |(c_7, c_6)| and e3 = |(c_5, c_4)|,
+    it is _NULL_FACTOR e1 (e1/e2)^5.5 where the coefficients fall and do
+    not slow, e2 > 0, e1 <= _NULL_RATIO e2 and e1/e2 <= e2/e3, floored at
+    eps/2 of the value, and inf where they do not.  The nodes pair as x and
+    -x, so each c_j sums five products, of its null rule with the values at
+    each pair, added for even j and subtracted for odd j."""
     h = 0.5 * (b - a)
     c = 0.5 * (a + b)
-    return [math.exp(n * log_s(c + h * x)) for x in nodes]
-
-
-def _rule(log_s, n, a, b, nodes, weights, diffs, fx):
-    """One rule of _RULES after G10 on [a, b], evaluated at those of its
-    nodes that the values fx in hand, of the rules before it, lack.
-    Returns the rule's value, the error estimate |this rule - the rule
-    before|, one exact sum, and all the values."""
-    h = 0.5 * (b - a)
-    fx = fx + _values(log_s, n, a, b, nodes[len(fx):])
-    return h * math.fsum(map(operator.mul, weights, fx)), abs(h * math.fsum(map(operator.mul, diffs, fx))), fx
-
-
-def _gauss(h, fx):
-    """G10 on a panel of half-width h, from its 10 values fx, and a null-rule
-    estimate of its own error: with c_j = h sum_i w_i p_j(x_i) f_i, e1 =
-    |(c_9, c_8)|, e2 = |(c_7, c_6)| and e3 = |(c_5, c_4)|, it is
-    _NULL_FACTOR e1 (e1/e2)^5.5 where the coefficients fall and do not slow,
-    e2 > 0, e1 <= _NULL_RATIO e2 and e1/e2 <= e2/e3, floored at eps/2 of
-    the value, and inf where they do not.  The nodes pair as x and -x, so
-    each c_j sums five products, of its null rule with the values at each
-    pair, added for even j and subtracted for odd j."""
+    fx = fx + [math.exp(n * log_s(c + h * x)) for x in nodes[len(fx):]]
+    value = h * math.fsum(map(operator.mul, weights, fx))
+    if diffs is not None:
+        return value, abs(h * math.fsum(map(operator.mul, diffs, fx))), fx
     mirror = fx[:4:-1]
     even, odd = list(map(operator.add, fx, mirror)), list(map(operator.sub, fx, mirror))
     c4, c6, c8 = [math.fsum(map(operator.mul, row, even)) for row in _NULL_HALF[0::2]]
     c5, c7, c9 = [math.fsum(map(operator.mul, row, odd)) for row in _NULL_HALF[1::2]]
     e1, e2, e3 = math.hypot(c9, c8), math.hypot(c7, c6), math.hypot(c5, c4)
-    value = h * math.fsum(map(operator.mul, _WG, fx))
     if not (e2 > 0.0 and e1 <= _NULL_RATIO * e2 and e1 * e3 <= e2 * e2):
-        return value, math.inf
-    return value, max(h * _NULL_FACTOR * e1 * (e1 / e2) ** 5.5, 0.5 * sys.float_info.epsilon * abs(value))
-
-
-def _smooth_at_zero(dist):
-    """Whether the law's density at 0 is finite and positive, so that the
-    integrand falls from 1 on the scale 1/(n f(0)) with no cusp there."""
-    f0 = dist.density_at_zero
-    return f0 is not None and math.isfinite(f0) and f0 > 0.0
+        return value, math.inf, fx
+    return value, max(h * _NULL_FACTOR * e1 * (e1 / e2) ** 5.5, 0.5 * sys.float_info.epsilon * abs(value)), fx
 
 
 def _fits(err, tol, value):
@@ -382,21 +374,15 @@ def _integrate_mesh(dist, n, bounds, budget, cap, chord):
     all of it if it is the last, but never more than ``cap``.  A panel is
     accepted when its error estimate fits, within that tolerance or at the
     level of rounding, and charges the lesser of the two to the budget, so
-    that what it leaves unused passes on to the panels after it.  The
-    estimates are tried in turn, each only where the one before misses:
-    G10's null-rule estimate, on the panel at 0 of a law with a finite
-    positive f(0) and a single scale where ``cap`` is finite, |K21 - G10|
-    once the 11 Kronrod nodes join those 10 values (or, on any other panel,
-    all 21 nodes), its QUADPACK scale, |K43 - K21| once the panel extends to
-    K43, and the scale of that (at 0 where f(0) = 0, K43's error is at least
-    _CUSP_RATIO |K21 - G10|, as the module docstring says).  A panel that
-    ends at the support's end is not accepted while the integrand at its
-    node nearest that end is above e^-1.  A panel that is not accepted is
-    accepted anyway when splitting it would take the accepted and pending
-    panels past _MAX_LEAVES; otherwise it is split in two: a quarter of its
-    width from the support's end for such a cliff, else at its midpoint or,
-    for a panel at 0, at a quarter; each half starts again at its first
-    rule.
+    that what it leaves unused passes on to the panels after it.  Each
+    panel walks the ladder of _RULES that the module docstring describes,
+    from G10 only where ``cap`` is finite.  A panel that ends at the
+    support's end is not accepted while the integrand at its node nearest
+    that end is above e^-1.  A panel that is not accepted is accepted
+    anyway when splitting it would take the accepted and pending panels
+    past _MAX_LEAVES; otherwise it is split in two: a quarter of its width
+    from the support's end for such a cliff, else at its midpoint or, for a
+    panel at 0, at a quarter.
     A panel beyond the b of ``chord``, where not None, checks it with the
     K21 value at its node nearest its right end, a normal float, where a
     bend shows most.  Returns (value, error, leaves)."""
@@ -412,33 +398,29 @@ def _integrate_mesh(dist, n, bounds, budget, cap, chord):
         # the last pending panel takes all that is left, however the sum of
         # the shares has rounded
         tol = min(cap, left * share / pending if stack else left)
-        fx, value, err = [], 0.0, math.inf
-        if gauss_first and a == 0.0:
-            fx = _values(log_s, n, a, b, _RULES[0][0])
-            value, err = _gauss(0.5 * (b - a), fx)
-        end = 0  # the index of the value at the node nearest b: G10's, then K21's
-        if not _fits(err, tol, value):
-            value, err, fx = _rule(log_s, n, a, b, *_RULES[1], fx)
-            end = 10
-            if chord is not None and a >= chord[2] and fx[end] >= sys.float_info.min:
-                # the log of a rounded exp is off by up to eps/2 even where
-                # the exp rounds to 1 and the log to 0
-                _check_chord(dist.name, chord, 0.5 * (a + b) + 0.5 * (b - a) * _XK[0], math.log(fx[end]), 1.0)
-            if not _fits(err, tol, value):
-                # QUADPACK's scale, formed only on a miss, from the K21 values
-                # in hand: on every panel it costs more time than it saves
-                coarse, mean = err, value / (b - a)
-                resasc = 0.5 * (b - a) * math.fsum(w * abs(f - mean) for w, f in zip(_W21, fx))
+        fx, resasc = [], None
+        for nodes, weights, diffs in _RULES if gauss_first and a == 0.0 else _FROM_K21:
+            value, err, fx = _rule(log_s, n, a, b, nodes, weights, diffs, fx)
+            if chord is not None and len(fx) == 21 and a >= chord[2] and fx[10] >= sys.float_info.min:
+                # K21's value at its node nearest b; the log of a rounded exp
+                # is off by up to eps/2 even where the exp rounds to 1 and
+                # the log to 0
+                _check_chord(dist.name, chord, 0.5 * (a + b) + 0.5 * (b - a) * _XK[0], math.log(fx[10]), 1.0)
+            if diffs is not None and not _fits(err, tol, value):
+                if resasc is None:
+                    # QUADPACK's scale, formed only on K21's miss, from its
+                    # values: on every panel it costs more time than it saves
+                    coarse, mean = err, value / (b - a)
+                    resasc = 0.5 * (b - a) * math.fsum(w * abs(f - mean) for w, f in zip(_W21, fx))
                 err = _scaled(err, resasc)
-                if not _fits(err, tol, value):
-                    value, diff, fx = _rule(log_s, n, a, b, *_RULES[2], fx)
-                    floor = _CUSP_RATIO * coarse if a == 0.0 and cusp else 0.0
-                    err = max(diff, floor)
-                    if not _fits(err, tol, value):
-                        err = max(_scaled(diff, resasc), floor)
+            if cusp and a == 0.0 and len(fx) == 43:
+                err = max(err, _CUSP_RATIO * coarse)
+            if _fits(err, tol, value):
+                break
         # the integrand drops to 0 between the node nearest the support's
-        # end and that end, unseen, as at 1 - O(1/k) for power_law(k)
-        cliff = b == dist.support_upper and fx[end] > _END_CEILING
+        # end and that end, unseen, as at 1 - O(1/k) for power_law(k): G10's
+        # node where the panel stopped there, else K21's
+        cliff = b == dist.support_upper and fx[0 if diffs is None else 10] > _END_CEILING
         if (_fits(err, tol, value) and not cliff) or len(values) + len(stack) + 2 > _MAX_LEAVES:
             values.append(value)
             errors.append(err)

@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from scipy import stats
 
 from spheremin.distributions import (
+    Distribution,
     exponential,
     half_normal,
     heavy_tail,
@@ -169,6 +170,16 @@ def test_log_mean_residual_is_the_remainder(family, param, n, b):
         else:
             dist, exact = heavy_tail(param), (1 + mp.mpf(b)) / (n * mp.mpf(param) - 1)
         assert mp.almosteq(mp.exp(dist.log_mean_residual(n, b)), exact, rel_eps=1e-13)
+
+
+@pytest.mark.parametrize("upper", [-1.0, 0.0, math.nan])
+def test_rejects_support_upper_not_above_zero(upper):
+    # the support [0, support_upper] of a nonnegative variable must hold more
+    # than 0: with -1.0 the quadrature returned a negative mean at n = 1 that
+    # said it converged, after 500 panels, and overflowed at n = 1000; with
+    # 0.0 it split to 500 panels
+    with pytest.raises(ValueError, match="support_upper must be > 0"):
+        Distribution("u", lambda y: -y, 1.0, upper)
 
 
 def test_no_closed_form_remainder():

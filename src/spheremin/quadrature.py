@@ -414,6 +414,7 @@ def _integrate_mesh(dist, n, bounds, budget, cap, chord):
                     resasc = 0.5 * (b - a) * math.fsum(w * abs(f - mean) for w, f in zip(_W21, fx))
                 err = _scaled(err, resasc)
             if cusp and a == 0.0 and len(fx) == 43:
+                # K43's floor at a cusp at 0, under whichever estimate stood
                 err = max(err, _CUSP_RATIO * coarse)
             if _fits(err, tol, value):
                 break

@@ -8,7 +8,8 @@ asymptotic law 1/(f(0)(n+1)) needs, and the upper end of the support.
 ``density_at_zero`` is a stored closed-form value, never a numerical
 limit: the asymptotic constant 1/(f(0)(n+1)) is exactly sensitive to it
 and one-sided numerical differentiation at a support boundary is
-ill-conditioned.  ``None`` marks "undefined"; ``math.inf`` is allowed.
+ill-conditioned.  ``None`` marks "undefined"; otherwise it must be >= 0,
+``math.inf`` allowed, which the constructor checks.
 
 Support is always [0, inf) or a bounded [0, support_upper], with
 support_upper > 0, which the constructor checks.
@@ -67,6 +68,10 @@ class Distribution:
         # hold more than the point 0; a NaN fails the test too
         if not self.support_upper > 0.0:
             raise ValueError(f"{self.name}: support_upper must be > 0, got {self.support_upper!r}")
+        # a density is >= 0; a NaN fails this test too
+        if self.density_at_zero is not None and not self.density_at_zero >= 0.0:
+            raise ValueError(f"{self.name}: density_at_zero must be >= 0 or None, "
+                             f"got {self.density_at_zero!r}")
 
 
 def _smooth_at_zero(dist: Distribution) -> bool:

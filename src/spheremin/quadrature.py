@@ -490,8 +490,8 @@ def _grid(dist: Distribution, n: int, budget: float):
     at 4 y* and the remainder's rounding fits ``budget``; that look-ahead
     boundary is dropped from the bounds.  Raises HypothesisViolatedError
     where a boundary of a law without a remainder lies above the chord
-    before it, and NonConvergentError at the largest floats without a
-    tail."""
+    before it, ValueError where log_survival is NaN at a boundary, and
+    NonConvergentError at the largest floats without a tail."""
     positive = _smooth_at_zero(dist)
     b = max(min(1.0, 4.0 / (n * dist.density_at_zero + 1.0)) if positive else 1.0 / math.sqrt(n), _MIN_WIDTH)
     arg = n * dist.log_survival(b)
@@ -513,6 +513,8 @@ def _grid(dist: Distribution, n: int, budget: float):
     prev = prev_arg = 0.0  # the block and n log S at the boundary before b
     chord = premise = None  # the chord before b, and the one the panel [b, y*] checks
     while True:
+        if math.isnan(arg):
+            raise ValueError(f"{dist.name}: log_survival is nan at {b!r}")
         block = math.exp(arg + math.log(3.0 * b))  # >= the integral over [b, 4b]
         last = b > sys.float_info.max / 4.0
         if dist.log_mean_residual is not None and prev > 0.0 and block / prev <= _TAIL_RATIO_CAP**2:

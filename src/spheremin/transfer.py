@@ -45,9 +45,10 @@ class HomogeneousFunction:
     The Monte Carlo routes call eval on (rows, n) blocks of one reused
     buffer and sum eval's one value per row as float64, with no staging
     buffer; eval must not keep a reference to a block, which the next
-    draw overwrites.  transfer_identity_check also calls eval on a
-    one-worker concurrent.futures pool, so it must be thread-safe; the
-    built-ins, pure numpy, are."""
+    draw overwrites.  transfer_identity_check runs its two routes at once
+    on a two-worker concurrent.futures pool, whose map hands the results
+    back in route order, so eval must be thread-safe; the built-ins, pure
+    numpy, are."""
 
     name: str
     degree: int
@@ -184,25 +185,18 @@ def transfer_identity_check(
 ) -> TransferReport:
     """Compare the two Monte Carlo routes; agreement means |z| <= 4.
 
-    The Gaussian route runs on a one-worker concurrent.futures pool while
-    the direct route runs in the caller.  Each has its own spawned seed,
-    so the report is the one the two routes give one after the other.
-    An error of either route is raised here, the Gaussian one if both fail."""
+    The two routes run at once on a two-worker concurrent.futures pool,
+    whose map hands their results back in route order, Gaussian first.
+    Each has its own spawned seed, so the report is the one the two routes
+    give one after the other.  An error of either route is raised here,
+    the Gaussian one if both fail."""
     from concurrent.futures import ThreadPoolExecutor  # deferred: loads logging
-    _check_int("n", n)
     _check_int("samples", samples, 2)
     gamma_ratio(n, f.degree)  # a bad input raises before any eval
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    gauss_seed, sphere_seed = root.spawn(2)
-    with ThreadPoolExecutor(1, thread_name_prefix="spheremin-gaussian-route") as pool:
-        gauss = pool.submit(sphere_mean_from_gaussian, f, n, samples, gauss_seed)
-        try:
-            s = sphere_mean_direct(f, n, samples, sphere_seed)
-        finally:
-            try:
-                g = gauss.result()  # raises the Gaussian error, if any, first
-            finally:
-                del gauss  # a raised error's traceback would hold it in a cycle
+    routes = (sphere_mean_from_gaussian, sphere_mean_direct)
+    with ThreadPoolExecutor(2, thread_name_prefix="spheremin-route") as pool:
+        g, s = pool.map(lambda route, sub: route(f, n, samples, sub), routes, root.spawn(2))
     spread = math.hypot(g.std_error, s.std_error)
     diff = abs(g.point - s.point)
     if spread > 0.0:

@@ -182,6 +182,19 @@ def test_rejects_support_upper_not_above_zero(upper):
         Distribution("u", lambda y: -y, 1.0, upper)
 
 
+@pytest.mark.parametrize("f0", [-1.0, math.nan, -math.inf])
+def test_rejects_density_at_zero_below_zero(f0):
+    # expected_min read -1.0 as an undefined f(0), so it took the first
+    # width 1/sqrt(n), no G10 rung and no cusp floor
+    with pytest.raises(ValueError, match="density_at_zero must be >= 0 or None"):
+        Distribution("u", lambda y: -y, f0, math.inf)
+
+
+@pytest.mark.parametrize("f0", [None, 0.0, 1.0, math.inf])
+def test_accepts_density_at_zero_none_or_at_least_zero(f0):
+    assert Distribution("u", lambda y: -y, f0, math.inf).density_at_zero == f0
+
+
 def test_no_closed_form_remainder():
     for dist in (half_normal(), power_law(2.0)):
         assert dist.log_mean_residual is None

@@ -97,6 +97,16 @@ def test_divergent_tail_raises(n, alpha):
         survival_power_integral(heavy_tail(alpha), n, 1e-10)
 
 
+@pytest.mark.parametrize("log_s, at", [(lambda y: math.nan, "1.0"),
+                                       (lambda y: -1e-3 * y if y < 5.0 else math.nan, "16.0")],
+                         ids=["everywhere", "from-5"])
+def test_nan_log_survival_is_an_error_not_a_divergence(log_s, at):
+    # it walked to the largest floats and raised NonConvergentError, which
+    # says that the expected minimum is divergent or nearly so
+    with pytest.raises(ValueError, match=f"log_survival is nan at {at}$"):
+        survival_power_integral(Distribution("nan", log_s, 1.0, math.inf), 3, 1e-10)
+
+
 @pytest.mark.parametrize("dist", [exponential(1.0), uniform01(), half_normal()],
                          ids=lambda d: d.name)
 def test_monotone_in_n(dist):

@@ -363,11 +363,16 @@ class _RouteError(RuntimeError):
     """A route's error; unlike RuntimeError, it takes a weak reference."""
 
 
+def _route(x):
+    """The route that drew the block x: the direct route's rows lie on the
+    unit sphere, the Gaussian ones do not."""
+    return "direct" if np.allclose(np.sum(x * x, axis=-1), 1.0) else "gaussian"
+
+
 def _failing_eval(failing):
     """An eval that raises _RouteError(route) on the routes in failing."""
     def eval_(x):
-        # the direct route's rows lie on the unit sphere, the Gaussian ones do not
-        route = "direct" if np.allclose(np.sum(x * x, axis=-1), 1.0) else "gaussian"
+        route = _route(x)
         if route in failing:
             raise _RouteError(route)
         return np.abs(x[..., 0])
@@ -435,8 +440,28 @@ class TestConcurrentCheck:
             transfer_identity_check(f, 2, 1, 0)
         assert threading.active_count() == threads
 
+    def test_both_routes_run_at_once_on_pool_threads(self):
+        # each route's first eval waits for the other's, so routes run in
+        # turn break the barrier; a route run in the caller fails the idents
+        barrier = threading.Barrier(2, timeout=60.0)
+        idents = {}
+
+        def eval_(x):
+            route = _route(x)
+            if route not in idents:
+                barrier.wait()
+                idents[route] = threading.get_ident()
+            return np.abs(x[..., 0])
+
+        threads = threading.active_count()
+        transfer_identity_check(HomogeneousFunction("barrier", 1, eval_), 3, 100_000, 0)
+        assert threading.active_count() == threads
+        assert sorted(idents) == ["direct", "gaussian"]
+        assert idents["direct"] != idents["gaussian"]
+        assert threading.get_ident() not in idents.values()
+
     def test_callers_on_more_threads_than_cores(self):
-        # four callers, each with its worker, switched every microsecond
+        # four callers, each with its two-worker pool, switched every microsecond
         cases = [("min-abs", 2, 20_000, 3), ("sum-abs", 9, 5_000, 4),
                  ("sum-squares", 7, 8_000, 5), ("max-abs", 40, 1_000, 6)]
         serial = {c: _serial_check(builtin_function(c[0]), *c[1:]) for c in cases}

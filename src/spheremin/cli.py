@@ -240,8 +240,8 @@ def _run_verify(args: argparse.Namespace, out: io.TextIOBase) -> int:
     for n, child in zip((2, 5, 10), children[:3]):
         est = transfer.sphere_mean_direct(min_abs, n, args.samples, child)
         ref = minima.emin(n, tol)
-        z = abs(est.point - ref.value) / est.std_error if est.std_error > 0 else 0.0
-        check(f"sphere-vs-quadrature-n{n}", z <= 4.0,
+        z, agree = transfer._agreement(est.point, ref.value, est.std_error)
+        check(f"sphere-vs-quadrature-n{n}", agree,
               f"mc={_fmt(est.point)} quad={_fmt(ref.value)} z={z:.3f}", ref.converged)
 
     for f, child in zip(transfer.builtin_functions(), children[3:]):

@@ -376,16 +376,19 @@ def _integrate_mesh(dist, n, bounds, budget, cap, chord):
     level of rounding, and charges the lesser of the two to the budget, so
     that what it leaves unused passes on to the panels after it.  Each
     panel walks the ladder of _RULES that the module docstring describes,
-    from G10 only where ``cap`` is finite.  A panel that ends at the
-    support's end is not accepted while the integrand at its node nearest
-    that end is above e^-1.  A panel that is not accepted is accepted
+    from G10 only on the panel at 0 of a ``single_scale`` law with a
+    finite positive f(0), and only where ``cap`` is finite.  A panel that
+    ends at the support's end is not accepted while the integrand at its
+    node nearest that end is above e^-1.  A panel that is not accepted is accepted
     anyway when splitting it would take the accepted and pending panels
     past _MAX_LEAVES; otherwise it is split in two: a quarter of its width
     from the support's end for such a cliff, else at its midpoint or, for a
     panel at 0, at a quarter.
     A panel beyond the b of ``chord``, where not None, checks it with the
     K21 value at its node nearest its right end, a normal float, where a
-    bend shows most.  Returns (value, error, leaves)."""
+    bend shows most.  Returns (value, error, leaves).  Raises ValueError
+    where a rung's value is NaN or exp(n log S) overflows at one of its
+    nodes: log_survival is NaN, or above 0, there."""
     log_s = dist.log_survival
     cusp = dist.density_at_zero == 0.0
     gauss_first = dist.single_scale and _smooth_at_zero(dist) and cap < math.inf
@@ -400,7 +403,12 @@ def _integrate_mesh(dist, n, bounds, budget, cap, chord):
         tol = min(cap, left * share / pending if stack else left)
         fx, resasc = [], None
         for nodes, weights, diffs in _RULES if gauss_first and a == 0.0 else _FROM_K21:
-            value, err, fx = _rule(log_s, n, a, b, nodes, weights, diffs, fx)
+            try:
+                value, err, fx = _rule(log_s, n, a, b, nodes, weights, diffs, fx)
+            except OverflowError as exc:  # exp(n log S) at a node: S is above 1 there
+                raise ValueError(f"{dist.name}: log_survival is above 0 on the panel [{a!r}, {b!r}]") from exc
+            if math.isnan(value):
+                raise ValueError(f"{dist.name}: log_survival is nan on the panel [{a!r}, {b!r}]")
             if chord is not None and len(fx) == 21 and a >= chord[2] and fx[10] >= sys.float_info.min:
                 # K21's value at its node nearest b; the log of a rounded exp
                 # is off by up to eps/2 even where the exp rounds to 1 and
@@ -490,8 +498,9 @@ def _grid(dist: Distribution, n: int, budget: float):
     at 4 y* and the remainder's rounding fits ``budget``; that look-ahead
     boundary is dropped from the bounds.  Raises HypothesisViolatedError
     where a boundary of a law without a remainder lies above the chord
-    before it, ValueError where log_survival is NaN at a boundary, and
-    NonConvergentError at the largest floats without a tail."""
+    before it, ValueError where log_survival is NaN or above 0 at a
+    boundary, and NonConvergentError at the largest floats without a
+    tail."""
     positive = _smooth_at_zero(dist)
     b = max(min(1.0, 4.0 / (n * dist.density_at_zero + 1.0)) if positive else 1.0 / math.sqrt(n), _MIN_WIDTH)
     arg = n * dist.log_survival(b)
@@ -506,15 +515,16 @@ def _grid(dist: Distribution, n: int, budget: float):
         b = max(0.25 * b, _MIN_WIDTH)
         arg = n * dist.log_survival(b)
     bounds = [0.0, b]
-    # S is monotone, so b_0 S(b_0)^n <= the integral over [0, b_0] <= the value
-    least = math.exp(math.log(b) + arg)
+    # S is monotone, so b_0 S(b_0)^n <= the integral over [0, b_0] <= the
+    # value; formed once the walk has checked n log S(b_0) <= 0
+    log_least = math.log(b) + arg
     log_negligible = math.log(_NEGLIGIBLE_TAIL) + math.log(b) + arg
     log_budget = math.log(budget) if budget > 0.0 else -math.inf
     prev = prev_arg = 0.0  # the block and n log S at the boundary before b
     chord = premise = None  # the chord before b, and the one the panel [b, y*] checks
     while True:
-        if math.isnan(arg):
-            raise ValueError(f"{dist.name}: log_survival is nan at {b!r}")
+        if not arg <= 0.0:  # a NaN, or a survival above 1
+            raise ValueError(f"{dist.name}: log_survival is {dist.log_survival(b)!r} at {b!r}")
         block = math.exp(arg + math.log(3.0 * b))  # >= the integral over [b, 4b]
         last = b > sys.float_info.max / 4.0
         if dist.log_mean_residual is not None and prev > 0.0 and block / prev <= _TAIL_RATIO_CAP**2:
@@ -568,7 +578,7 @@ def _grid(dist: Distribution, n: int, budget: float):
         arg = n * dist.log_survival(b) if ahead is None else ahead
         ahead = None
     bounds[-1] = min(bounds[-1], dist.support_upper)
-    return bounds, tail, remainder, least, premise
+    return bounds, tail, remainder, math.exp(log_least), premise
 
 
 def survival_power_integral(dist: Distribution, n: int, tol: float) -> MinResult:

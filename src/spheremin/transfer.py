@@ -66,7 +66,6 @@ class Estimate:
 class TransferReport:
     function: str
     n: int
-    samples: int
     gaussian_side: Estimate
     sphere_side: Estimate
     z_score: float
@@ -180,10 +179,20 @@ def sphere_mean_direct(
     return Estimate(point=mean, std_error=se, samples=samples)
 
 
+def _agreement(a: float, b: float, spread: float) -> Tuple[float, bool]:
+    """The z-score |a - b| / spread of two Monte Carlo numbers whose
+    difference has standard error ``spread``, and whether they agree,
+    z <= 4: the one rule of every Monte Carlo cross-check, here and in
+    verify.  A zero spread gives z = 0 where a == b and inf otherwise."""
+    diff = abs(a - b)
+    z = diff / spread if spread > 0.0 else 0.0 if diff == 0.0 else math.inf
+    return z, z <= 4.0
+
+
 def transfer_identity_check(
     f: HomogeneousFunction, n: int, samples: int, seed: SeedLike
 ) -> TransferReport:
-    """Compare the two Monte Carlo routes; agreement means |z| <= 4.
+    """Compare the two Monte Carlo routes by _agreement.
 
     The two routes run at once on a two-worker concurrent.futures pool,
     whose map hands their results back in route order, Gaussian first.
@@ -197,18 +206,5 @@ def transfer_identity_check(
     routes = (sphere_mean_from_gaussian, sphere_mean_direct)
     with ThreadPoolExecutor(2, thread_name_prefix="spheremin-route") as pool:
         g, s = pool.map(lambda route, sub: route(f, n, samples, sub), routes, root.spawn(2))
-    spread = math.hypot(g.std_error, s.std_error)
-    diff = abs(g.point - s.point)
-    if spread > 0.0:
-        z = diff / spread
-    else:
-        z = 0.0 if diff == 0.0 else math.inf
-    return TransferReport(
-        function=f.name,
-        n=n,
-        samples=samples,
-        gaussian_side=g,
-        sphere_side=s,
-        z_score=z,
-        agree=z <= 4.0,
-    )
+    z, agree = _agreement(g.point, s.point, math.hypot(g.std_error, s.std_error))
+    return TransferReport(f.name, n, g, s, z, agree)

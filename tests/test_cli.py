@@ -22,7 +22,8 @@ from spheremin.cli import (
     parse_n_range,
 )
 from spheremin.minima import nmin
-from spheremin.transfer import builtin_function, sphere_mean_direct
+from spheremin import transfer
+from spheremin.transfer import Estimate, builtin_function, sphere_mean_direct
 
 
 def run(argv, capsys):
@@ -193,6 +194,20 @@ class TestExitCodes:
         failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
         assert failed and all(line.endswith(" converged=False") for line in failed)
         assert out.splitlines()[-1].startswith("FAILED")
+
+    def test_verify_fails_a_sphere_mean_apart_at_zero_spread(self, monkeypatch, capsys):
+        # the direct route's point moved by 0.5 with no standard error: a
+        # zero spread agrees only where the two numbers are equal
+        def shifted(f, n, samples, seed):
+            est = sphere_mean_direct(f, n, samples, seed)
+            return Estimate(est.point + 0.5, 0.0, est.samples)
+
+        monkeypatch.setattr(transfer, "sphere_mean_direct", shifted)
+        code, out, _ = run(["verify", "--seed", "1", "--samples", "2000"], capsys)
+        assert code == EXIT_VERIFY_FAILED
+        lines = [line for line in out.splitlines() if "sphere-vs-quadrature" in line]
+        assert len(lines) == 3
+        assert all(line.startswith("FAIL ") and line.endswith(" z=inf") for line in lines)
 
     def test_hypothesis_violated(self, capsys):
         code, _, err = run(

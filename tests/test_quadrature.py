@@ -107,6 +107,29 @@ def test_nan_log_survival_is_an_error_not_a_divergence(log_s, at):
         survival_power_integral(Distribution("nan", log_s, 1.0, math.inf), 3, 1e-10)
 
 
+@pytest.mark.parametrize("residual", [None, lambda n, b: -math.log(n)], ids=["chord", "remainder"])
+def test_nan_inside_a_panel_is_an_error(residual):
+    # the NaN lies between the grid's boundaries 0 and 1, where only the
+    # panel's nodes see it; the panel was split to width 0 and raised
+    # ZeroDivisionError
+    hole = Distribution("hole", lambda y: math.nan if 0.3 < y < 0.4 else -y, 1.0, math.inf, residual)
+    with pytest.raises(ValueError, match=r"^hole: log_survival is nan on the panel \[0\.0, 1\.0\]$"):
+        survival_power_integral(hole, 3, 1e-10)
+
+
+@pytest.mark.parametrize("log_s, match", [
+    (lambda y: 1.0, r"log_survival is 1\.0 at 1\.0$"),
+    (lambda y: 800.0 if y > 0.5 else -y, r"log_survival is 800\.0 at 1\.0$"),
+    (lambda y: 0.01 * y, r"log_survival is 0\.01 at 1\.0$"),
+    # between the boundaries 0 and 1, at K21's nodes only: exp overflows there
+    (lambda y: 800.0 if 0.3 < y < 0.4 else -y, r"log_survival is above 0 on the panel \[0\.0, 1\.0\]$"),
+], ids=["one", "jump", "rise", "bump"])
+def test_survival_above_one_is_an_error(log_s, match):
+    # each raised a bare OverflowError from math.exp
+    with pytest.raises(ValueError, match=match):
+        survival_power_integral(Distribution("above", log_s, 1.0, math.inf), 3, 1e-10)
+
+
 @pytest.mark.parametrize("dist", [exponential(1.0), uniform01(), half_normal()],
                          ids=lambda d: d.name)
 def test_monotone_in_n(dist):

@@ -154,6 +154,16 @@ class TestIdentityCheck:
         assert rep.z_score == math.inf and not rep.agree
 
 
+@pytest.mark.parametrize("a, b, spread, z, agree", [
+    (0.5, 0.5, 0.0, 0.0, True),
+    (0.5, 0.5 + 1e-12, 0.0, math.inf, False),
+    (1.0, 0.0, 0.25, 4.0, True),
+    (0.0, 1.0, 0.2, 5.0, False),
+])
+def test_agreement_rule(a, b, spread, z, agree):
+    assert transfer._agreement(a, b, spread) == (z, agree)
+
+
 def test_emin_agrees_with_direct_mc():
     f = builtin_function("min-abs")
     for n, seed in ((2, 101), (5, 102), (10, 103)):

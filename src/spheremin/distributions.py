@@ -17,15 +17,17 @@ support_upper > 0, which the constructor checks.
 ``log_mean_residual`` is the exact tail: log_mean_residual(n, b) =
 log(int_b^inf S^n / S(b)^n), which the quadrature adds to n log S(b).
 Its rounding must stay within a few eps of |n log S(b)| + |its value| +
-log(n) + 4.  The exponential, uniform01 and the heavy tail have one.  A
-law without one (half-normal, power-law, or one built by hand) must have
-a log-concave survival (a non-decreasing hazard rate) with S(0) = 1, and
-a log_survival within a few eps of its magnitude: the quadrature bounds
-its tail by the chord of n log S through the last two points of its grid,
-starting from (0, 0), which lies above n log S beyond them only then.
-The quadrature raises HypothesisViolatedError with condition
-"log-concave" where its chords, or the panel beyond the last of them,
-show otherwise.
+log(n) + 4.  Where the remainder diverges it raises NonConvergentError or
+returns inf, and the quadrature then raises NonConvergentError; it never
+decides that itself.  A NaN raises ValueError.  The exponential,
+uniform01 and the heavy tail have one.  A law without one (half-normal,
+power-law, or one built by hand) must have a log-concave survival (a
+non-decreasing hazard rate) with S(0) = 1, and a log_survival within a few
+eps of its magnitude: the quadrature bounds its tail by the chord of n log
+S through the last two points of its grid, starting from (0, 0), which
+lies above n log S beyond them only then.  The quadrature raises
+HypothesisViolatedError with condition "log-concave" where its chords, or
+the panel beyond the last of them, show otherwise.
 
 ``single_scale`` says that S^n has no part near 0 that falls off far
 faster than on the scale 1/(n f(0)) that a finite positive density at 0
@@ -47,7 +49,15 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from .errors import NonConvergentError
 from .special import SQRT_PI, log_erfc
+
+# heavy_tail's remainder stands only where n * alpha exceeds 1 +
+# log_4(1/0.95^2), below which the blocks [b, 4b] of survival^n decay by
+# less than 0.95^2 from one to the next; the mean is finite from 1 on.  This
+# is the float just above that limit, so n * alpha < it is n * alpha <= the
+# limit itself
+_N_ALPHA_LIMIT = 1.0 + math.log(1.0 / 0.95**2, 4.0)
 
 
 @dataclass(frozen=True)
@@ -143,17 +153,23 @@ def heavy_tail(alpha: float) -> Distribution:
     """Survival (1+y)^(-alpha): polynomial tail.
 
     survival^n is integrable exactly when n*alpha > 1, and its remainder
-    beyond b is then S(b)^n (1+b) / (n*alpha - 1).  For n*alpha <= 1 the
-    expected minimum of n draws is infinite and the quadrature reports
-    nonconvergence.  It also does so, wrongly, for 1 < n*alpha <= 1.074,
-    where the blocks of its grid decay too slowly for its tail test ever
-    to pass, which the quadrature asks before it takes that remainder.
+    beyond b is then S(b)^n (1+b) / (n*alpha - 1).  Its log_mean_residual
+    raises NonConvergentError where n*alpha <= 1.074000581 (_N_ALPHA_LIMIT):
+    for n*alpha <= 1 the expected minimum of n draws is infinite.  For
+    1 < n*alpha <= 1.074 it is finite, and the raise is a known defect,
+    kept until the rounding that the quadrature counts for the remainder
+    includes that of n*alpha - 1, which log1p(-1/(n*alpha)) magnifies by
+    n*alpha/(n*alpha - 1) as n*alpha nears 1.
     """
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"heavy_tail requires alpha > 0, got {alpha!r}")
     log_alpha = math.log(alpha)
 
     def log_mean_residual(n, b):
+        if n * alpha < _N_ALPHA_LIMIT:
+            raise NonConvergentError(f"tail of survival^{n} for heavy-tail:{alpha:g} cannot be bounded at "
+                                     f"n * alpha = {n * alpha!r}, below {_N_ALPHA_LIMIT!r}; the expected minimum "
+                                     "is divergent or nearly so")
         # log(n alpha - 1) as log(n) + log(alpha) + log(1 - 1/(n alpha)),
         # which stays finite where the product n * alpha overflows
         return math.log1p(b) - math.log(n) - log_alpha - math.log1p(-1.0 / (n * alpha))

@@ -14,9 +14,10 @@ class InvalidToleranceError(SphereMinError, ValueError):
 
 
 class NonConvergentError(SphereMinError, ArithmeticError):
-    """The survival-power integral has a tail that cannot be bounded: its
-    blocks decay too slowly up to the largest floats, so the underlying
-    expectation is divergent or numerically indistinguishable from it."""
+    """The survival-power integral has a tail that cannot be bounded: the
+    law's exact remainder diverges, or its chords do not fall up to the
+    largest floats, so the underlying expectation is divergent or
+    numerically indistinguishable from it."""
 
 
 class HypothesisViolatedError(SphereMinError, ValueError):

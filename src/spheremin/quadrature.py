@@ -21,17 +21,12 @@ Survival is monotone, so the block [b, 4b] contributes at most
 3b * survival(b)^n.
 
 Where the law has a closed-form remainder (Distribution.log_mean_residual:
-the exponential, uniform01 and the heavy tail), a ratio gate decides where
-it stands.  The gate rests on one premise: the ratio r of a block to the
-one before it does not rise with b.  It holds for every log-concave
-survival, since d/db log(S(4b)/S(b)) = h(b) - 4h(4b) <= 0 for a
-non-decreasing hazard h, and for the power law (1+y)^-alpha.  The boundary
-b where r first is at most _TAIL_RATIO_CAP**2 is only the gate's
-look-ahead: the walk forms the remainder beyond the boundary b/4 before
-it, from the n log S(b/4) it has already evaluated, adds it to the value,
-and counts only its rounding as the tail.  exp magnifies the rounding of
-its argument, so that is a few eps times |n log S(b/4)| plus a few, and
-one subnormal step where the remainder is subnormal.
+the exponential, uniform01 and the heavy tail), the walk forms the
+remainder beyond each boundary b from the n log S(b) it has evaluated,
+adds it to the value, and counts only its rounding as the tail.  exp
+magnifies the rounding of its argument, so that is a few eps times
+|n log S(b)| plus a few, and one subnormal step where the remainder is
+subnormal.
 
 Every other law must have a log-concave survival with S(0) = 1, so that
 n log S is concave and 0 at 0.  Its chord through the last two points
@@ -58,15 +53,15 @@ ends the walk a few boundaries past the mass, not where the integrand
 underflows; the clause y* >= 1 keeps a value below the absolute tolerance
 accurate relative to itself.  A law with a remainder skips both clauses,
 since the rounding of an exact remainder is already relative to the
-value: it stops at the boundary before the gate's look-ahead once the
-remainder's rounding fits, which is often b_0 itself.  Either walk also
-stops where the block and the integrand both underflow.  The point where
-the walk stops is the truncation point y*, which a bounded support clips,
-with no tail beyond it.  A walk that reaches the largest floats stops
-there if it has a tail, which then misses the tolerance, and otherwise
-raises NonConvergentError: its blocks show too little decay (for the
-heavy tail, exactly when n * alpha <= 1.074), so the expected minimum is
-divergent or nearly so.
+value: it stops at the first boundary where the remainder's rounding
+fits, which is often b_0 itself.  Either walk also stops where the block
+and the integrand both underflow.  The point where the walk stops is the
+truncation point y*, which a bounded support clips, with no tail beyond
+it.  A walk that reaches the largest floats stops there with its tail,
+which then misses the tolerance, or, where its last chord does not fall,
+raises NonConvergentError.  The walk decides no remainder divergent: a
+law's log_mean_residual raises NonConvergentError, or returns inf, where
+its remainder diverges (the heavy tail's raises for n * alpha <= 1.074).
 
 The panels between consecutive bounds up to y* are integrated by one
 ladder of nested rules, the rows of _RULES: G10, K21 and K43, that is
@@ -264,7 +259,6 @@ _RULES = (
 # the rows a panel walks where it does not start at G10
 _FROM_K21 = _RULES[1:]
 
-_TAIL_RATIO_CAP = 0.95  # per doubling; the grid's blocks span two doublings
 # the rounding of arg = n log S(y), per unit of |arg|, and of an exact
 # remainder exp(arg + log_mean_residual), per unit of |arg| +
 # |log_mean_residual| + log(n) + 4, plus one subnormal step, the rounding of
@@ -337,6 +331,8 @@ def _rule(log_s, n, a, b, nodes, weights, diffs, fx):
     c = 0.5 * (a + b)
     fx = fx + [math.exp(n * log_s(c + h * x)) for x in nodes[len(fx):]]
     value = h * math.fsum(map(operator.mul, weights, fx))
+    if not value < math.inf:  # a NaN or inf value, whose sums below are void
+        return value, math.inf, fx
     if diffs is not None:
         return value, abs(h * math.fsum(map(operator.mul, diffs, fx))), fx
     mirror = fx[:4:-1]
@@ -387,8 +383,8 @@ def _integrate_mesh(dist, n, bounds, budget, cap, chord):
     A panel beyond the b of ``chord``, where not None, checks it with the
     K21 value at its node nearest its right end, a normal float, where a
     bend shows most.  Returns (value, error, leaves).  Raises ValueError
-    where a rung's value is NaN or exp(n log S) overflows at one of its
-    nodes: log_survival is NaN, or above 0, there."""
+    where a rung's value is NaN or inf, or exp(n log S) overflows at one of
+    its nodes: log_survival is NaN, or above 0, there."""
     log_s = dist.log_survival
     cusp = dist.density_at_zero == 0.0
     gauss_first = dist.single_scale and _smooth_at_zero(dist) and cap < math.inf
@@ -405,10 +401,11 @@ def _integrate_mesh(dist, n, bounds, budget, cap, chord):
         for nodes, weights, diffs in _RULES if gauss_first and a == 0.0 else _FROM_K21:
             try:
                 value, err, fx = _rule(log_s, n, a, b, nodes, weights, diffs, fx)
-            except OverflowError as exc:  # exp(n log S) at a node: S is above 1 there
-                raise ValueError(f"{dist.name}: log_survival is above 0 on the panel [{a!r}, {b!r}]") from exc
-            if math.isnan(value):
-                raise ValueError(f"{dist.name}: log_survival is nan on the panel [{a!r}, {b!r}]")
+            except OverflowError:  # exp(n log S) at a node: S is above 1 there
+                value = math.inf
+            if not value < math.inf:  # a NaN, or an infinite log_survival at a node
+                what = "nan" if math.isnan(value) else "above 0"
+                raise ValueError(f"{dist.name}: log_survival is {what} on the panel [{a!r}, {b!r}]")
             if chord is not None and len(fx) == 21 and a >= chord[2] and fx[10] >= sys.float_info.min:
                 # K21's value at its node nearest b; the log of a rounded exp
                 # is off by up to eps/2 even where the exp rounds to 1 and
@@ -494,13 +491,13 @@ def _grid(dist: Distribution, n: int, budget: float):
     remainder stops at the least y* that its chord tail lets fit ``budget``
     with y* >= 1 or a tail negligible beside b_0 S(b_0)^n, once that y*
     lies within the block ahead, or once the block and the integrand
-    underflow.  A law with a remainder stops instead once the ratio passes
-    at 4 y* and the remainder's rounding fits ``budget``; that look-ahead
-    boundary is dropped from the bounds.  Raises HypothesisViolatedError
-    where a boundary of a law without a remainder lies above the chord
-    before it, ValueError where log_survival is NaN or above 0 at a
-    boundary, and NonConvergentError at the largest floats without a
-    tail."""
+    underflow.  A law with a remainder stops instead at the first boundary
+    where the remainder's rounding fits ``budget``, or at the largest
+    floats.  Raises HypothesisViolatedError where a boundary of a law
+    without a remainder lies above the chord before it, ValueError where
+    log_survival is NaN or above 0 at a boundary or log_mean_residual is
+    NaN, and NonConvergentError where the remainder is infinite or a chord
+    tail reaches the largest floats."""
     positive = _smooth_at_zero(dist)
     b = max(min(1.0, 4.0 / (n * dist.density_at_zero + 1.0)) if positive else 1.0 / math.sqrt(n), _MIN_WIDTH)
     arg = n * dist.log_survival(b)
@@ -520,31 +517,34 @@ def _grid(dist: Distribution, n: int, budget: float):
     log_least = math.log(b) + arg
     log_negligible = math.log(_NEGLIGIBLE_TAIL) + math.log(b) + arg
     log_budget = math.log(budget) if budget > 0.0 else -math.inf
-    prev = prev_arg = 0.0  # the block and n log S at the boundary before b
+    prev_arg = 0.0  # n log S at the boundary before b
     chord = premise = None  # the chord before b, and the one the panel [b, y*] checks
     while True:
         if not arg <= 0.0:  # a NaN, or a survival above 1
             raise ValueError(f"{dist.name}: log_survival is {dist.log_survival(b)!r} at {b!r}")
-        block = math.exp(arg + math.log(3.0 * b))  # >= the integral over [b, 4b]
         last = b > sys.float_info.max / 4.0
-        if dist.log_mean_residual is not None and prev > 0.0 and block / prev <= _TAIL_RATIO_CAP**2:
-            # the gate passes at b, which serves only as its look-ahead: the
-            # exact remainder stands at the boundary before it
-            log_residual = dist.log_mean_residual(n, bounds[-2])
-            remainder = math.exp(prev_arg + log_residual)
-            tail = (remainder * _ROUNDING * (abs(prev_arg) + abs(log_residual) + math.log(n) + 4.0)
-                    + _SUBNORMAL_STEP)
-            if tail <= budget or last:
-                bounds.pop()
-                break
         remainder = 0.0
-        if block == 0.0 and math.exp(arg) == 0.0:
-            # the block bound and the integrand both underflow; at b_0 (only
-            # at _MIN_WIDTH) the panel there may miss the mass of [0, b_0],
-            # which S^n <= 1 bounds by b_0
+        if math.exp(arg + math.log(3.0 * b)) == 0.0 and math.exp(arg) == 0.0:
+            # the block bound 3b S(b)^n >= the integral over [b, 4b] and the
+            # integrand both underflow; at b_0 (only at _MIN_WIDTH) the panel
+            # there may miss the mass of [0, b_0], which S^n <= 1 bounds by b_0
             tail = b if b == bounds[1] else 0.0
             break
-        if dist.log_mean_residual is None:
+        if dist.log_mean_residual is not None:
+            # the exact remainder beyond b, which stands once its rounding fits
+            log_residual = dist.log_mean_residual(n, b)
+            try:
+                remainder = math.exp(arg + log_residual)
+            except OverflowError:
+                remainder = math.inf
+            if math.isnan(remainder):
+                raise ValueError(f"{dist.name}: log_mean_residual is {log_residual!r} at {b!r}")
+            if remainder == math.inf:  # the law states that its remainder diverges
+                raise NonConvergentError(f"the remainder of survival^{n} for {dist.name} beyond {b!r} is infinite")
+            tail = remainder * _ROUNDING * (abs(arg) + abs(log_residual) + math.log(n) + 4.0) + _SUBNORMAL_STEP
+            if tail <= budget or last:
+                break
+        else:
             # the chord from the boundary before b, or from (0, 0) at b_0,
             # once (b, arg) is checked against the chord before it
             if chord is not None:
@@ -569,11 +569,9 @@ def _grid(dist: Distribution, n: int, budget: float):
                     tail = 0.0 if y >= dist.support_upper else math.exp(log_tail - drop * ((y - b) / (b - p)))
                     break
         if last:
-            raise NonConvergentError(
-                f"tail of survival^{n} for {dist.name} cannot be bounded; "
-                "the expected minimum is divergent or nearly so"
-            )
-        prev, prev_arg, b = block, arg, 4.0 * b
+            raise NonConvergentError(f"tail of survival^{n} for {dist.name} cannot be bounded; "
+                                     "the expected minimum is divergent or nearly so")
+        prev_arg, b = arg, 4.0 * b
         bounds.append(b)
         arg = n * dist.log_survival(b) if ahead is None else ahead
         ahead = None

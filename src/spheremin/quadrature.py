@@ -10,13 +10,14 @@ the mass sits: 1/(n f(0)) when the density at 0 is positive, which leaves
 the integrand near e^-4 there, else 1/sqrt(n).  Without a positive f(0)
 that guess can lie far below the mass, as for the power law with k > 2,
 whose first panels then hold a flat integrand: w0 moves up by 4 while n log
-S at 4 w0, within the support, is at least _FIRST_PANEL_LOG_CEILING, and
-the probe where it stops is the next boundary, not evaluated again.  Either
-first width moves down by 4 while n log S there is below
-_FIRST_PANEL_LOG_FLOOR: the G10/K21 error estimate of a first panel far
-wider than the mass can understate it.  It stops at _MIN_WIDTH; if the
-integrand has underflowed even there, the panel [0, b_0] may miss the mass,
-and b_0 joins the tail bound.
+S at 4 w0, within the support, lies in [_FIRST_PANEL_LOG_CEILING, 0], and
+the probe where it stops, a NaN or positive one too, is the next boundary,
+checked as every boundary is and not evaluated again.  Either first width
+moves down by 4 while n log S there is below _FIRST_PANEL_LOG_FLOOR: the
+G10/K21 error estimate of a first panel far wider than the mass can
+understate it.  It stops at _MIN_WIDTH; if the integrand has underflowed
+even there, the panel [0, b_0] may miss the mass, and b_0 joins the tail
+bound.
 Survival is monotone, so the block [b, 4b] contributes at most
 3b * survival(b)^n.
 
@@ -108,15 +109,16 @@ understates K43's.  There K43's estimate is floored at _CUSP_RATIO
 alpha -> 1.
 
 A panel that misses the tolerance at K43 too is bisected, and each half
-walks the ladder again from its start, within one budget of leaves per
-integral, so every call does bounded work.  A panel at 0 splits at a
-quarter instead, as the grid does: a cusp y^k at 0, as in the power law,
-gives a panel error that falls as its width^(k+1), so each split of
-[0, b] cuts it by 4^(k+1), not 2^(k+1).  A panel that ends at the end of
-a bounded support is not accepted while the integrand at its node nearest
+walks the ladder again from its start, unless the panels would then exceed
+_MAX_LEAVES: an integral has at most the larger of that and the grid's
+count, at most 1023, so every call does bounded work.  A panel at 0 splits
+at a quarter instead, as the grid does: a cusp y^k at 0, as in the power
+law, gives a panel error that falls as its width^(k+1), so each split of
+[0, b] cuts it by 4^(k+1), not 2^(k+1).  A panel that ends at the end of a
+bounded support is not accepted while the integrand at its node nearest
 that end (G10's where the walk stopped there, else K21's) is above e^-1,
-and splits a quarter of its width from that end: the integrand falls to
-0 there between that node and the end, unseen by every rule, as for
+and splits a quarter of its width from that end: the integrand falls to 0
+there between that node and the end, unseen by every rule, as for
 power_law(k) with k >= 1e4, whose cliff lies within O(1/k) of 1.
 
 The panels spend one error budget, what the tail leaves of the tolerance,
@@ -265,12 +267,13 @@ _FROM_K21 = _RULES[1:]
 # exp where the remainder is subnormal
 _ROUNDING = 8.0 * sys.float_info.epsilon
 _SUBNORMAL_STEP = math.ulp(0.0)
-# leaves (accepted panels) per integral, which bounds the work of any call:
-# each panel tried costs at most 43 evaluations, and at most twice as many
-# are tried as are accepted; the integrals of the benchmark's dist-grid
-# workload need at most 4 (seeds 1-10, rounds 0-2; the power law's), the
-# half-normal's at most 3, and those of the laws with an exact remainder at
-# most 2
+# leaves (accepted panels) past which no panel splits: an integral has at
+# most the larger of this and the grid's count, at most 1023 from 2^-1022 to
+# the largest floats; each panel tried costs at most 43 evaluations, and at
+# most twice as many are tried as are accepted.  The integrals of the
+# benchmark's dist-grid workload need at most 4 (seeds 1-10, rounds 0-2; the
+# power law's), the half-normal's at most 3, and those of the laws with an
+# exact remainder at most 2
 _MAX_LEAVES = 500
 # the least first width: positive even when n * f(0) overflows
 _MIN_WIDTH = 2.0**-1022
@@ -313,12 +316,14 @@ class MinResult:
     panels: Optional[int] = None  # accepted panels, each G10, K21 or K43
 
 
-def _rule(log_s, n, a, b, nodes, weights, diffs, fx):
+def _rule(dist, n, a, b, nodes, weights, diffs, fx):
     """One row of _RULES on [a, b], evaluated at those of its nodes that the
     values fx in hand, of the rules before it, lack: the integrand
-    exp(n * log_s(y)), inline rather than through a closure that would cost
-    a call per node.  Returns the rule's value, its error estimate and all
-    the values.  A row with difference weights estimates |this rule - the
+    exp(n * dist.log_survival(y)), inline rather than through a closure that
+    would cost a call per node.  Returns the rule's value, its error
+    estimate and all the values.  Raises ValueError where the value, or exp
+    at a node, is NaN, inf or overflows: log_survival is NaN, or above 0,
+    there.  A row with difference weights estimates |this rule - the
     rule before|, one exact sum.  G10's row has none, and its estimate is
     that of its null rules: with c_j = h sum_i w_i p_j(x_i) f_i, h the
     half-width, e1 = |(c_9, c_8)|, e2 = |(c_7, c_6)| and e3 = |(c_5, c_4)|,
@@ -327,12 +332,15 @@ def _rule(log_s, n, a, b, nodes, weights, diffs, fx):
     eps/2 of the value, and inf where they do not.  The nodes pair as x and
     -x, so each c_j sums five products, of its null rule with the values at
     each pair, added for even j and subtracted for odd j."""
-    h = 0.5 * (b - a)
-    c = 0.5 * (a + b)
-    fx = fx + [math.exp(n * log_s(c + h * x)) for x in nodes[len(fx):]]
-    value = h * math.fsum(map(operator.mul, weights, fx))
-    if not value < math.inf:  # a NaN or inf value, whose sums below are void
-        return value, math.inf, fx
+    h, c, log_s = 0.5 * (b - a), 0.5 * (a + b), dist.log_survival
+    try:
+        fx = fx + [math.exp(n * log_s(c + h * x)) for x in nodes[len(fx):]]
+        value = h * math.fsum(map(operator.mul, weights, fx))
+    except OverflowError:  # exp(n log S) at a node, or their sum: S is above 1
+        value = math.inf
+    if not value < math.inf:  # a NaN, or an infinite log_survival at a node
+        what = "nan" if math.isnan(value) else "above 0"
+        raise ValueError(f"{dist.name}: log_survival is {what} on the panel [{a!r}, {b!r}]")
     if diffs is not None:
         return value, abs(h * math.fsum(map(operator.mul, diffs, fx))), fx
     mirror = fx[:4:-1]
@@ -372,20 +380,16 @@ def _integrate_mesh(dist, n, bounds, budget, cap, chord):
     level of rounding, and charges the lesser of the two to the budget, so
     that what it leaves unused passes on to the panels after it.  Each
     panel walks the ladder of _RULES that the module docstring describes,
-    from G10 only on the panel at 0 of a ``single_scale`` law with a
-    finite positive f(0), and only where ``cap`` is finite.  A panel that
-    ends at the support's end is not accepted while the integrand at its
-    node nearest that end is above e^-1.  A panel that is not accepted is accepted
-    anyway when splitting it would take the accepted and pending panels
-    past _MAX_LEAVES; otherwise it is split in two: a quarter of its width
-    from the support's end for such a cliff, else at its midpoint or, for a
-    panel at 0, at a quarter.
-    A panel beyond the b of ``chord``, where not None, checks it with the
-    K21 value at its node nearest its right end, a normal float, where a
-    bend shows most.  Returns (value, error, leaves).  Raises ValueError
-    where a rung's value is NaN or inf, or exp(n log S) overflows at one of
-    its nodes: log_survival is NaN, or above 0, there."""
-    log_s = dist.log_survival
+    from G10 only on the panel at 0 of a ``single_scale`` law with a finite
+    positive f(0), and only where ``cap`` is finite.  A panel that ends at
+    the support's end is not accepted while the integrand at its node
+    nearest that end is above e^-1.  A panel that is not accepted is accepted
+    anyway when splitting it would take the accepted and pending panels past
+    _MAX_LEAVES; otherwise it is split in two: a quarter of its width from
+    the support's end for such a cliff, else at its midpoint or, for a panel
+    at 0, at a quarter.  A panel beyond the b of ``chord``, where not None,
+    checks it with the K21 value at its node nearest its right end, a normal
+    float, where a bend shows most.  Returns (value, error, leaves)."""
     cusp = dist.density_at_zero == 0.0
     gauss_first = dist.single_scale and _smooth_at_zero(dist) and cap < math.inf
     values, errors = [], []
@@ -399,13 +403,7 @@ def _integrate_mesh(dist, n, bounds, budget, cap, chord):
         tol = min(cap, left * share / pending if stack else left)
         fx, resasc = [], None
         for nodes, weights, diffs in _RULES if gauss_first and a == 0.0 else _FROM_K21:
-            try:
-                value, err, fx = _rule(log_s, n, a, b, nodes, weights, diffs, fx)
-            except OverflowError:  # exp(n log S) at a node: S is above 1 there
-                value = math.inf
-            if not value < math.inf:  # a NaN, or an infinite log_survival at a node
-                what = "nan" if math.isnan(value) else "above 0"
-                raise ValueError(f"{dist.name}: log_survival is {what} on the panel [{a!r}, {b!r}]")
+            value, err, fx = _rule(dist, n, a, b, nodes, weights, diffs, fx)
             if chord is not None and len(fx) == 21 and a >= chord[2] and fx[10] >= sys.float_info.min:
                 # K21's value at its node nearest b; the log of a rounded exp
                 # is off by up to eps/2 even where the exp rounds to 1 and
@@ -505,7 +503,7 @@ def _grid(dist: Distribution, n: int, budget: float):
     top = min(dist.support_upper, sys.float_info.max)
     while not positive and arg >= _FIRST_PANEL_LOG_CEILING and 4.0 * b <= top:
         ahead = n * dist.log_survival(4.0 * b)
-        if ahead < _FIRST_PANEL_LOG_CEILING:
+        if not _FIRST_PANEL_LOG_CEILING <= ahead <= 0.0:
             break
         b, arg, ahead = 4.0 * b, ahead, None
     while arg < _FIRST_PANEL_LOG_FLOOR and b > _MIN_WIDTH:

@@ -137,7 +137,9 @@ def test_infinite_log_survival_inside_a_panel_is_an_error(hole, residual):
     (lambda y: 0.01 * y, r"log_survival is 0\.01 at 1\.0$"),
     # between the boundaries 0 and 1, at K21's nodes only: exp overflows there
     (lambda y: 800.0 if 0.3 < y < 0.4 else -y, r"log_survival is above 0 on the panel \[0\.0, 1\.0\]$"),
-], ids=["one", "jump", "rise", "bump"])
+    # exp is finite at every node, but fsum of K21's values overflows
+    (lambda y: 236.4 if 0.05 < y < 0.95 else -y, r"log_survival is above 0 on the panel \[0\.0, 1\.0\]$"),
+], ids=["one", "jump", "rise", "bump", "sum"])
 def test_survival_above_one_is_an_error(log_s, match):
     # each raised a bare OverflowError from math.exp
     with pytest.raises(ValueError, match=match):
@@ -266,6 +268,16 @@ def test_remainder_that_is_not_finite_ends_the_walk(residual, error, match):
         survival_power_integral(dist, 3, 1e-10)
 
 
+def test_remainder_that_overflows_is_infinite():
+    # the mean 1/5.5e-309 overflows: exp(n log S(1) + log_mean_residual)
+    # raises OverflowError at the first boundary, and the remainder is inf
+    counted, calls = _counting(exponential(5.5e-309))
+    with pytest.raises(NonConvergentError,
+                       match=r"^the remainder of survival\^1 for exponential:5\.5e-309 beyond 1\.0 is infinite$"):
+        expected_min(counted, 1)
+    assert len(calls) == 1
+
+
 def test_underflow_at_the_least_first_width_is_not_converged():
     # the mean 1/(n rate) = 1e-315 sits below _MIN_WIDTH = 2^-1022, where the
     # integrand has already underflowed: all 21 nodes of the one panel read 0,
@@ -290,6 +302,29 @@ def test_subnormal_lower_bound_sets_no_cap():
     assert len(calls) == 22
 
 
+def test_subnormal_lower_bound_starts_at_k21():
+    # G10 stands only under a finite cap: here b_0 S(b_0)^n is subnormal, and
+    # G10's null-rule estimate, floored at eps/2 of a subnormal value, would
+    # let its value stand 11849 subnormal steps from the mean 1/(n rate)
+    counted, calls = _counting(exponential(5e299))
+    res = expected_min(counted, 10**9, 1e-10)
+    assert abs(res.value - 2e-309) <= math.ulp(0.0)
+    assert res.converged
+    assert len(calls) == 22
+
+
+def test_block_bound_alone_does_not_end_the_walk():
+    # at b_0 = _MIN_WIDTH the block bound 3 b_0 S(b_0)^n underflows, but the
+    # integrand there, e^-222.5, does not: the walk stands on the exact
+    # remainder beyond b_0, where stopping on the block bound alone would
+    # count all of [0, b_0] as missed mass, a bound of 2.2e-308 on the mean
+    # 1e-310
+    res = expected_min(exponential(1e300), 10**10, 1e-10)
+    assert res.converged
+    assert res.error_bound < 1e-310
+    assert abs(res.value - 1e-310) <= res.error_bound
+
+
 def test_last_panel_takes_all_the_budget_left(monkeypatch):
     # a first panel split 60 levels deep about 1/3 leaves the float sum of
     # the pending shares above the last panel's share of 1; that panel still
@@ -307,6 +342,19 @@ def test_last_panel_takes_all_the_budget_left(monkeypatch):
                                                       math.inf, None)
     assert (value, error) == (4.0, budget)
     assert leaves < 100
+
+
+def test_grid_longer_than_the_leaf_budget_is_accepted_panel_by_panel():
+    # the mean 1e300 of exponential(1e-300) at n = 1 takes the 505 panels of
+    # the grid from 0 to 4^504, where the exact remainder's rounding fits.
+    # None splits, since the pending panels alone exceed _MAX_LEAVES: each
+    # is accepted at the last rung it walks, and the result has not
+    # converged.  The budget bounds the panels by the larger of _MAX_LEAVES
+    # and the grid's own count, not by _MAX_LEAVES alone
+    counted, calls = _counting(exponential(1e-300))
+    res = expected_min(counted, 1)
+    assert res.converged is False
+    assert (res.panels, len(calls)) == (505, 11198)
 
 
 def _mp_tail(family, k, n, y):
@@ -807,6 +855,30 @@ def test_first_boundary_moves_up_to_the_mass(k, n, tol, limit):
     assert res.converged
     _assert_honest(res, exact)
     assert len(calls) <= limit
+
+
+@pytest.mark.parametrize("above", [0.5, math.inf])
+@pytest.mark.parametrize("f0", [0.0, None], ids=["cusp", "undefined"])
+def test_walk_up_stops_at_a_bad_probe(f0, above):
+    # S = 1 up to 0.5, the first width at n = 4, and log S above 0 past it:
+    # the walk up read each probe only against _FIRST_PANEL_LOG_CEILING, so
+    # it climbed to the largest floats (514 calls) and named 2^1023.  The
+    # probe at 2.0 now becomes the next boundary, which the walk checks
+    counted, calls = _counting(Distribution("up", lambda y: above if y > 0.5 else 0.0, f0, math.inf))
+    with pytest.raises(ValueError, match=rf"^up: log_survival is {above!r} at 2\.0$"):
+        survival_power_integral(counted, 4, 1e-10)
+    assert len(calls) <= 3
+
+
+@pytest.mark.parametrize("f0, count", [(1.0, 512), (0.0, 513)], ids=["positive", "cusp"])
+def test_chord_that_never_falls_raises(f0, count):
+    # S = 1 everywhere: no chord falls, so the walk reaches the largest
+    # floats with no tail bound; a law without a positive f(0) starts at
+    # 1/sqrt(3) in place of 1, and its grid has one boundary more
+    counted, calls = _counting(Distribution("flat", lambda y: 0.0, f0, math.inf))
+    with pytest.raises(NonConvergentError, match=r"^tail of survival\^3 for flat cannot be bounded; "):
+        survival_power_integral(counted, 3, 1e-10)
+    assert len(calls) == count
 
 
 @pytest.mark.parametrize("k,n,tol", [(13.845779336307475, 1151337801, 6.481182917058046e-4),

@@ -59,10 +59,11 @@ fits, which is often b_0 itself.  Either walk also stops where the block
 and the integrand both underflow.  The point where the walk stops is the
 truncation point y*, which a bounded support clips, with no tail beyond
 it.  A walk that reaches the largest floats stops there with its tail,
-which then misses the tolerance, or, where its last chord does not fall,
-raises NonConvergentError.  The walk decides no remainder divergent: a
-law's log_mean_residual raises NonConvergentError, or returns inf, where
-its remainder diverges (the heavy tail's raises for n * alpha <= 1.074).
+which then misses the tolerance (a chord tail past the largest floats is
+inf), or, where its last chord does not fall, raises NonConvergentError.
+The walk decides no remainder divergent: a law's log_mean_residual raises
+NonConvergentError, or returns inf, where its remainder diverges (the
+heavy tail's raises for n * alpha <= 1.074).
 
 The panels between consecutive bounds up to y* are integrated by one
 ladder of nested rules, the rows of _RULES: G10, K21 and K43, that is
@@ -82,12 +83,13 @@ value.  There G10's 10 values alone give the discrete Legendre
 coefficients c_4 ... c_9.  Where e1 = |(c_9, c_8)| is at most
 _NULL_RATIO of e2 = |(c_7, c_6)|, and e1/e2 is at most e2/e3, e3 =
 |(c_5, c_4)|, so that the fall does not slow, its rate estimates G10's
-own error.  Values at one node alone fall too slowly for the first test,
-as a part that falls off far faster than the rest, seen only by G10's
-outermost node, gives them; the floor that such a part puts under the
-slow part's falling coefficients fails the second.  A faster part that
-stays below the slow part's own coefficients shows in neither, which is
-why a law must declare a single scale.  Nor does the estimate hold at a
+own error; c_5 and c_4 are formed only where the first test passes.
+Values at one node alone fall too slowly for the first test, as a part
+that falls off far faster than the rest, seen only by G10's outermost
+node, gives them; the floor that such a part puts under the slow part's
+falling coefficients fails the second.  A faster part that stays below
+the slow part's own coefficients shows in neither, which is why a law
+must declare a single scale.  Nor does the estimate hold at a
 cusp: where f(0) is 0 or infinite, the coefficients fall only as a power
 of their index, and their rate understates the error (tried where f(0) =
 inf, S = 1 - sqrt(y) at n = 1 came back 5.2x over its bound).
@@ -202,6 +204,7 @@ def _orthonormal_legendre(j, x):
 # give the discrete Legendre coefficients c_j, and p_j(-x) = (-1)^j p_j(x)
 # weighs the values at the negative nodes
 _NULL_HALF = tuple(tuple(w * _orthonormal_legendre(j, x) for w, x in zip(_WG_HALF, _XG)) for j in range(4, 10))
+_NULL4, _NULL5, _NULL6, _NULL7, _NULL8, _NULL9 = _NULL_HALF
 # Patterson's optimal addition of 22 nodes to qk21 (Math. Comp. 22, 1968), as
 # in QUADPACK's qng: the new nodes, largest first, and the 43 weights of K43
 # in the order of its nodes, largest first, where the 21 Kronrod nodes are
@@ -320,21 +323,24 @@ def _rule(dist, n, a, b, nodes, weights, diffs, fx):
     """One row of _RULES on [a, b], evaluated at those of its nodes that the
     values fx in hand, of the rules before it, lack: the integrand
     exp(n * dist.log_survival(y)), inline rather than through a closure that
-    would cost a call per node.  Returns the rule's value, its error
-    estimate and all the values.  Raises ValueError where the value, or exp
-    at a node, is NaN, inf or overflows: log_survival is NaN, or above 0,
-    there.  A row with difference weights estimates |this rule - the
-    rule before|, one exact sum.  G10's row has none, and its estimate is
-    that of its null rules: with c_j = h sum_i w_i p_j(x_i) f_i, h the
-    half-width, e1 = |(c_9, c_8)|, e2 = |(c_7, c_6)| and e3 = |(c_5, c_4)|,
-    it is _NULL_FACTOR e1 (e1/e2)^5.5 where the coefficients fall and do
-    not slow, e2 > 0, e1 <= _NULL_RATIO e2 and e1/e2 <= e2/e3, floored at
-    eps/2 of the value, and inf where they do not.  The nodes pair as x and
-    -x, so each c_j sums five products, of its null rule with the values at
-    each pair, added for even j and subtracted for odd j."""
-    h, c, log_s = 0.5 * (b - a), 0.5 * (a + b), dist.log_survival
+    would cost a call per node.  Appends the new values to fx and returns
+    the rule's value, its error estimate and fx.  Raises ValueError where
+    the value, or exp at a node, is NaN, inf or overflows: log_survival is
+    NaN, or above 0, there.  A row with difference weights estimates |this
+    rule - the rule before|, one exact sum.  G10's row has none, and its
+    estimate is that of its null rules: with c_j = h sum_i w_i p_j(x_i) f_i,
+    h the half-width, e1 = |(c_9, c_8)|, e2 = |(c_7, c_6)| and e3 =
+    |(c_5, c_4)|, it is _NULL_FACTOR e1 (e1/e2)^5.5 where the coefficients
+    fall and do not slow, e2 > 0, e1 <= _NULL_RATIO e2 and e1/e2 <= e2/e3, floored at
+    eps/2 of the value, and inf where they do not; e3 is formed only where
+    e2 > 0 and e1 <= _NULL_RATIO e2.  The nodes pair as x and -x, so each
+    c_j sums five products, of its null rule with the values at each pair,
+    added for even j and subtracted for odd j."""
+    h, c, log_s, exp = 0.5 * (b - a), 0.5 * (a + b), dist.log_survival, math.exp
     try:
-        fx = fx + [math.exp(n * log_s(c + h * x)) for x in nodes[len(fx):]]
+        # a plain loop: a comprehension costs a frame of its own per call
+        for x in nodes[len(fx):]:
+            fx.append(exp(n * log_s(c + h * x)))
         value = h * math.fsum(map(operator.mul, weights, fx))
     except OverflowError:  # exp(n log S) at a node, or their sum: S is above 1
         value = math.inf
@@ -343,20 +349,28 @@ def _rule(dist, n, a, b, nodes, weights, diffs, fx):
         raise ValueError(f"{dist.name}: log_survival is {what} on the panel [{a!r}, {b!r}]")
     if diffs is not None:
         return value, abs(h * math.fsum(map(operator.mul, diffs, fx))), fx
-    mirror = fx[:4:-1]
-    even, odd = list(map(operator.add, fx, mirror)), list(map(operator.sub, fx, mirror))
-    c4, c6, c8 = [math.fsum(map(operator.mul, row, even)) for row in _NULL_HALF[0::2]]
-    c5, c7, c9 = [math.fsum(map(operator.mul, row, odd)) for row in _NULL_HALF[1::2]]
-    e1, e2, e3 = math.hypot(c9, c8), math.hypot(c7, c6), math.hypot(c5, c4)
-    if not (e2 > 0.0 and e1 <= _NULL_RATIO * e2 and e1 * e3 <= e2 * e2):
+    # the differences (odd j) and sums (even j) of the values at x and -x,
+    # and each c_j one fsum of five products, written out: a map, or a call
+    # per pair of rows, costs more than the products
+    f0, f1, f2, f3, f4, f5, f6, f7, f8, f9 = fx
+    d0, d1, d2, d3, d4 = f0 - f9, f1 - f8, f2 - f7, f3 - f6, f4 - f5
+    s0, s1, s2, s3, s4 = f0 + f9, f1 + f8, f2 + f7, f3 + f6, f4 + f5
+    fsum, hypot = math.fsum, math.hypot
+    (p0, p1, p2, p3, p4), (q0, q1, q2, q3, q4) = _NULL9, _NULL8
+    e1 = hypot(fsum((p0 * d0, p1 * d1, p2 * d2, p3 * d3, p4 * d4)),
+               fsum((q0 * s0, q1 * s1, q2 * s2, q3 * s3, q4 * s4)))
+    (p0, p1, p2, p3, p4), (q0, q1, q2, q3, q4) = _NULL7, _NULL6
+    e2 = hypot(fsum((p0 * d0, p1 * d1, p2 * d2, p3 * d3, p4 * d4)),
+               fsum((q0 * s0, q1 * s1, q2 * s2, q3 * s3, q4 * s4)))
+    if not (e2 > 0.0 and e1 <= _NULL_RATIO * e2):
+        return value, math.inf, fx
+    # c_5 and c_4 only where e1 and e2 have passed
+    (p0, p1, p2, p3, p4), (q0, q1, q2, q3, q4) = _NULL5, _NULL4
+    e3 = hypot(fsum((p0 * d0, p1 * d1, p2 * d2, p3 * d3, p4 * d4)),
+               fsum((q0 * s0, q1 * s1, q2 * s2, q3 * s3, q4 * s4)))
+    if not e1 * e3 <= e2 * e2:
         return value, math.inf, fx
     return value, max(h * _NULL_FACTOR * e1 * (e1 / e2) ** 5.5, 0.5 * sys.float_info.epsilon * abs(value)), fx
-
-
-def _fits(err, tol, value):
-    """Whether a panel error is within its tolerance or at the level of
-    rounding of the panel's value."""
-    return err <= tol or err <= _PANEL_ROUNDING * abs(value)
 
 
 def _scaled(err, resasc):
@@ -390,6 +404,9 @@ def _integrate_mesh(dist, n, bounds, budget, cap, chord):
     at 0, at a quarter.  A panel beyond the b of ``chord``, where not None,
     checks it with the K21 value at its node nearest its right end, a normal
     float, where a bend shows most.  Returns (value, error, leaves)."""
+    # n log S at each node: a float n gives the bits of an int n, which
+    # converts to the same float, and a cheaper product
+    n = float(n)
     cusp = dist.density_at_zero == 0.0
     gauss_first = dist.single_scale and _smooth_at_zero(dist) and cap < math.inf
     values, errors = [], []
@@ -409,23 +426,28 @@ def _integrate_mesh(dist, n, bounds, budget, cap, chord):
                 # is off by up to eps/2 even where the exp rounds to 1 and
                 # the log to 0
                 _check_chord(dist.name, chord, 0.5 * (a + b) + 0.5 * (b - a) * _XK[0], math.log(fx[10]), 1.0)
-            if diffs is not None and not _fits(err, tol, value):
+            # an error fits within the tolerance or at the level of rounding
+            # of the panel's value
+            rounding = _PANEL_ROUNDING * abs(value)
+            if diffs is not None and not (err <= tol or err <= rounding):
                 if resasc is None:
                     # QUADPACK's scale, formed only on K21's miss, from its
                     # values: on every panel it costs more time than it saves
                     coarse, mean = err, value / (b - a)
-                    resasc = 0.5 * (b - a) * math.fsum(w * abs(f - mean) for w, f in zip(_W21, fx))
+                    resasc = 0.5 * (b - a) * math.fsum(map(operator.mul, _W21,
+                                                           map(abs, map(operator.sub, fx, [mean] * 21))))
                 err = _scaled(err, resasc)
             if cusp and a == 0.0 and len(fx) == 43:
                 # K43's floor at a cusp at 0, under whichever estimate stood
                 err = max(err, _CUSP_RATIO * coarse)
-            if _fits(err, tol, value):
+            fits = err <= tol or err <= rounding
+            if fits:
                 break
         # the integrand drops to 0 between the node nearest the support's
         # end and that end, unseen, as at 1 - O(1/k) for power_law(k): G10's
         # node where the panel stopped there, else K21's
         cliff = b == dist.support_upper and fx[0 if diffs is None else 10] > _END_CEILING
-        if (_fits(err, tol, value) and not cliff) or len(values) + len(stack) + 2 > _MAX_LEAVES:
+        if (fits and not cliff) or len(values) + len(stack) + 2 > _MAX_LEAVES:
             values.append(value)
             errors.append(err)
             left -= min(err, tol)
@@ -522,7 +544,7 @@ def _grid(dist: Distribution, n: int, budget: float):
             raise ValueError(f"{dist.name}: log_survival is {dist.log_survival(b)!r} at {b!r}")
         last = b > sys.float_info.max / 4.0
         remainder = 0.0
-        if math.exp(arg + math.log(3.0 * b)) == 0.0 and math.exp(arg) == 0.0:
+        if math.exp(arg) == 0.0 and math.exp(arg + math.log(3.0 * b)) == 0.0:
             # the block bound 3b S(b)^n >= the integral over [b, 4b] and the
             # integrand both underflow; at b_0 (only at _MIN_WIDTH) the panel
             # there may miss the mass of [0, b_0], which S^n <= 1 bounds by b_0
@@ -551,20 +573,23 @@ def _grid(dist: Distribution, n: int, budget: float):
             chord = (p, prev_arg, b, arg)
             drop, log_tail = _chord(*chord)
             if drop > 0.0:
-                def reach(log_target):
-                    # the least y >= b where the chord tail is at most e^log_target
-                    return b + max(0.0, (log_tail - log_target) / drop) * (b - p)
-
-                y = b if last else max(reach(log_budget), min(reach(log_negligible), max(b, 1.0)))
+                # the least y >= b where the chord tail is negligible, and
+                # where it fits the budget
+                negligible = b + max(0.0, (log_tail - log_negligible) / drop) * (b - p)
+                y = b if last else max(b + max(0.0, (log_tail - log_budget) / drop) * (b - p),
+                                       min(negligible, max(b, 1.0)))
                 y = min(y, dist.support_upper)  # the tail is 0 from there on
                 if y <= 4.0 * b:
                     if y > b:
                         # the panel [b, y*] is added anyway: carry y* on
                         # within the block to a negligible tail
-                        y = min(4.0 * b, max(y, reach(log_negligible)))
+                        y = min(4.0 * b, max(y, negligible))
                         bounds.append(y)
                         premise = chord
-                    tail = 0.0 if y >= dist.support_upper else math.exp(log_tail - drop * ((y - b) / (b - p)))
+                    try:
+                        tail = 0.0 if y >= dist.support_upper else math.exp(log_tail - drop * ((y - b) / (b - p)))
+                    except OverflowError:  # y* = b at the largest floats, where the chord tail is past them
+                        tail = math.inf
                     break
         if last:
             raise NonConvergentError(f"tail of survival^{n} for {dist.name} cannot be bounded; "

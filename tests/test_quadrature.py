@@ -829,6 +829,43 @@ def test_faster_part_below_the_slow_coefficients_needs_k21(lam):
         _assert_honest(res, exact)
 
 
+def _null_exit(fx):
+    """Which exit of G10's null-rule estimate the values fx take, by e1, e2
+    and e3 as _rule's docstring defines them."""
+    c = [math.fsum(w * (fx[i] + (-1) ** j * fx[9 - i]) for i, w in enumerate(row))
+         for j, row in enumerate(_NULL_HALF, 4)]
+    e1, e2, e3 = math.hypot(c[5], c[4]), math.hypot(c[3], c[2]), math.hypot(c[1], c[0])
+    if not e2 > 0.0:
+        return "e2 = 0"
+    if not e1 <= 0.25 * e2:
+        return "e1 > e2/4"
+    return "slows" if e1 * e3 > e2 * e2 else "stands"
+
+
+def test_null_rule_estimate_digest():
+    # every bit of G10's (value, err) at each exit of its null-rule
+    # estimate, on the panel at 0 of calls that reach it, and past the
+    # support's end, where every value is 0: the estimate stands (the four
+    # laws with a finite positive f(0)); e2 = 0; e1 > e2/4, where only G10's
+    # outermost node sees the spike's fast part; and e1 e3 > e2^2, where it
+    # puts a floor under the slow part's falling coefficients
+    spike = {lam: _spike(0.003, lam, single_scale=True)[0] for lam in (1e3, 3e3, 1e5, 1e7)}
+    cases = [(exponential(1.3), 10**4, None, "stands"), (half_normal(), 100, None, "stands"),
+             (uniform01(), 10**6, None, "stands"), (heavy_tail(2.2), 10, None, "stands"),
+             (uniform01(), 1, (1.0, 2.0), "e2 = 0"),
+             (spike[1e5], 1, None, "e1 > e2/4"), (spike[1e7], 1, None, "e1 > e2/4"),
+             (spike[1e3], 1, None, "slows"), (spike[3e3], 1, None, "slows")]
+    nodes, weights, diffs = _RULES[0]
+    digest = hashlib.sha256()
+    for dist, n, panel, exit in cases:
+        a, b = panel or (0.0, quadrature._grid(dist, n, 1e-10)[0][1])
+        value, err, fx = quadrature._rule(dist, n, a, b, nodes, weights, diffs, [])
+        assert _null_exit(fx) == exit
+        assert (err < math.inf) == (exit == "stands")
+        digest.update(f"{dist.name} {n} {a!r} {b!r} {value.hex()} {err.hex()}\n".encode())
+    assert digest.hexdigest() == "1908b4b2039d1bca93268611cad0e9494cb770d74dd4380b62db2262814923f1"
+
+
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_infinite_density_at_zero_starts_at_k21(n):
     # S = 1 - sqrt(y) on [0, 1] has f(0) = inf: the integrand falls as
@@ -879,6 +916,22 @@ def test_chord_that_never_falls_raises(f0, count):
     with pytest.raises(NonConvergentError, match=r"^tail of survival\^3 for flat cannot be bounded; "):
         survival_power_integral(counted, 3, 1e-10)
     assert len(calls) == count
+
+
+def test_chord_tail_past_the_largest_floats_is_infinite():
+    # S = e^(-r y) with no remainder, whose mass lies near 1/r, 1e307 to
+    # 1e309: the walk reaches the largest floats, where y* is b itself.  In
+    # 65 of these 200 rates (r = 4.5e-309 and below) the chord tail there
+    # lies past the largest floats, where exp overflows: it is inf, not an
+    # OverflowError, and like the finite tails of the other 135 it misses
+    # the tolerance
+    infinite = 0
+    for i in range(200):
+        r = 10.0 ** (-307 - 2 * i / 200)
+        res = survival_power_integral(Distribution("flat", lambda y, r=r: -r * y, r, math.inf), 1, 1e-2)
+        assert res.converged is False and res.error_bound > 1e-2 and math.isfinite(res.value)
+        infinite += res.error_bound == math.inf
+    assert infinite == 65
 
 
 @pytest.mark.parametrize("k,n,tol", [(13.845779336307475, 1151337801, 6.481182917058046e-4),

@@ -40,10 +40,17 @@ class TestErfc:
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert vals[0] == 0.0 and math.isfinite(vals[-1])
 
-    @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan, -math.inf])
     def test_rejects_bad_input(self, bad):
         with pytest.raises(ValueError):
             log_erfc(bad)
+
+    def test_accepts_negative_zero_and_the_least_subnormal(self):
+        # the guard accepts exactly the finite y >= 0: -0.0 compares equal
+        # to 0.0, and erfc(-0.0) = 1
+        assert log_erfc(-0.0) == 0.0
+        tiny = math.ulp(0.0)
+        assert -4 * tiny <= log_erfc(tiny) <= 0.0
 
 
 class TestLogErfc:

@@ -26,8 +26,9 @@ non-decreasing hazard rate) with S(0) = 1, and a log_survival within a few
 eps of its magnitude: the quadrature bounds its tail by the chord of n log
 S through the last two points of its grid, starting from (0, 0), which
 lies above n log S beyond them only then.  The quadrature raises
-HypothesisViolatedError with condition "log-concave" where its chords, or
-the panel beyond the last of them, show otherwise.
+HypothesisViolatedError with condition "log-concave" where a boundary of
+its grid, or the point y* past the last of them, lies above the chord
+before it.
 
 ``single_scale`` says that S^n has no part near 0 that falls off far
 faster than on the scale 1/(n f(0)) that a finite positive density at 0

@@ -35,13 +35,11 @@ the walk has evaluated, (p, n log S(p)) and (b, n log S(b)), starting
 from (0, 0), then lies above n log S beyond b: with s the chord's rate of
 fall, int_y^inf S^n <= S(b)^n e^(-s (y - b)) / s for every y >= b.  Each
 value is widened by its rounding, a few eps of its magnitude, and so is
-each term of the exponent.  One test checks the premise on points that
-are evaluated anyway: each new boundary against the chord before it, and
-the K21 value nearest the right end of a panel beyond the last chord's b,
-whose log also carries the eps/2 by which exp rounds.  A point above the
-chord, extended past its b, by more than the rounding of the three values
-raises HypothesisViolatedError.  A bend that neither shows goes
-unchecked, as does a walk whose y* is the boundary b itself.
+each term of the exponent.  One test checks the premise on each
+boundary, and y*, against the chord before it: a point above the chord,
+extended past its b, by more than the rounding of the three values raises
+HypothesisViolatedError.  A bend between those points, or past y*, goes
+unchecked.
 
 The grid is walked once.  A law without a remainder stops at the least
 y* >= b whose chord tail fits half the tolerance, but not below 1 unless
@@ -83,13 +81,16 @@ value.  There G10's 10 values alone give the discrete Legendre
 coefficients c_4 ... c_9.  Where e1 = |(c_9, c_8)| is at most
 _NULL_RATIO of e2 = |(c_7, c_6)|, and e1/e2 is at most e2/e3, e3 =
 |(c_5, c_4)|, so that the fall does not slow, its rate estimates G10's
-own error; c_5 and c_4 are formed only where the first test passes.
-Values at one node alone fall too slowly for the first test, as a part
-that falls off far faster than the rest, seen only by G10's outermost
-node, gives them; the floor that such a part puts under the slow part's
-falling coefficients fails the second.  A faster part that stays below
-the slow part's own coefficients shows in neither, which is why a law
-must declare a single scale.  Nor does the estimate hold at a
+own error.  Values at one node alone fall too slowly for the first test,
+as a part that falls off far faster than the rest, seen only by G10's
+outermost node, gives them; the floor that such a part puts under the
+slow part's falling coefficients fails the second.  Where c_4 ... c_9 are
+only rounding, as of the polynomial on the panel at 0 of uniform01 at n <=
+3, G10 stands with their sum as its error, unless the integrand falls by
+less than 1/8 across the panel, whose width a far faster part may then
+have set.  A faster part that stays below the slow part's own
+coefficients shows in neither, which is why a law must declare a single
+scale.  Nor does the estimate hold at a
 cusp: where f(0) is 0 or infinite, the coefficients fall only as a power
 of their index, and their rate understates the error (tried where f(0) =
 inf, S = 1 - sqrt(y) at n = 1 came back 5.2x over its bound).
@@ -303,6 +304,10 @@ _NULL_FACTOR = 2.0
 # alone, as of a part of the integrand that only G10's outermost node sees,
 # give e1/e2 = 0.49, and the first panels of the built-in laws about 0.02
 _NULL_RATIO = 0.25
+# c_j below _NULL_ROUNDING eps |value| are rounding, and their sum stands as
+# G10's error where f at the node nearest b is below _NULL_FALL of f nearest
+# a: a nearly flat panel can owe its width to a far faster part no node sees
+_NULL_ROUNDING, _NULL_FALL = 4.0, 0.875
 # a panel that ends at the support's end is split while the integrand at
 # its node nearest that end is above this: it drops to 0 between them
 _END_CEILING = math.exp(-1.0)
@@ -331,11 +336,12 @@ def _rule(dist, n, a, b, nodes, weights, diffs, fx):
     estimate is that of its null rules: with c_j = h sum_i w_i p_j(x_i) f_i,
     h the half-width, e1 = |(c_9, c_8)|, e2 = |(c_7, c_6)| and e3 =
     |(c_5, c_4)|, it is _NULL_FACTOR e1 (e1/e2)^5.5 where the coefficients
-    fall and do not slow, e2 > 0, e1 <= _NULL_RATIO e2 and e1/e2 <= e2/e3, floored at
-    eps/2 of the value, and inf where they do not; e3 is formed only where
-    e2 > 0 and e1 <= _NULL_RATIO e2.  The nodes pair as x and -x, so each
-    c_j sums five products, of its null rule with the values at each pair,
-    added for even j and subtracted for odd j."""
+    fall and do not slow, e2 > 0, e1 <= _NULL_RATIO e2 and e1/e2 <= e2/e3,
+    else e1 + e2 + e3 where all three are rounding and the values fall (see
+    _NULL_ROUNDING), floored at eps/2 of the value, and inf elsewhere.  The
+    nodes pair as x and -x, so each c_j sums five products, of its null
+    rule with the values at each pair, added for even j and subtracted for
+    odd j."""
     h, c, log_s, exp = 0.5 * (b - a), 0.5 * (a + b), dist.log_survival, math.exp
     try:
         # a plain loop: a comprehension costs a frame of its own per call
@@ -362,15 +368,14 @@ def _rule(dist, n, a, b, nodes, weights, diffs, fx):
     (p0, p1, p2, p3, p4), (q0, q1, q2, q3, q4) = _NULL7, _NULL6
     e2 = hypot(fsum((p0 * d0, p1 * d1, p2 * d2, p3 * d3, p4 * d4)),
                fsum((q0 * s0, q1 * s1, q2 * s2, q3 * s3, q4 * s4)))
-    if not (e2 > 0.0 and e1 <= _NULL_RATIO * e2):
-        return value, math.inf, fx
-    # c_5 and c_4 only where e1 and e2 have passed
     (p0, p1, p2, p3, p4), (q0, q1, q2, q3, q4) = _NULL5, _NULL4
     e3 = hypot(fsum((p0 * d0, p1 * d1, p2 * d2, p3 * d3, p4 * d4)),
                fsum((q0 * s0, q1 * s1, q2 * s2, q3 * s3, q4 * s4)))
-    if not e1 * e3 <= e2 * e2:
-        return value, math.inf, fx
-    return value, max(h * _NULL_FACTOR * e1 * (e1 / e2) ** 5.5, 0.5 * sys.float_info.epsilon * abs(value)), fx
+    if e2 > 0.0 and e1 <= _NULL_RATIO * e2 and e1 * e3 <= e2 * e2:
+        return value, max(h * _NULL_FACTOR * e1 * (e1 / e2) ** 5.5, 0.5 * sys.float_info.epsilon * abs(value)), fx
+    if max(e1, e2, e3) < _NULL_ROUNDING * sys.float_info.epsilon * abs(value) / h and f0 < _NULL_FALL * f9:
+        return value, max(h * (e1 + e2 + e3), 0.5 * sys.float_info.epsilon * abs(value)), fx
+    return value, math.inf, fx
 
 
 def _scaled(err, resasc):
@@ -382,7 +387,7 @@ def _scaled(err, resasc):
     return resasc * min(1.0, 200.0 * err / resasc) ** 1.5
 
 
-def _integrate_mesh(dist, n, bounds, budget, cap, chord):
+def _integrate_mesh(dist, n, bounds, budget, cap):
     """Adaptive bisection of the panels between consecutive bounds of the
     integral of exp(n * dist.log_survival(y)).
 
@@ -401,9 +406,7 @@ def _integrate_mesh(dist, n, bounds, budget, cap, chord):
     anyway when splitting it would take the accepted and pending panels past
     _MAX_LEAVES; otherwise it is split in two: a quarter of its width from
     the support's end for such a cliff, else at its midpoint or, for a panel
-    at 0, at a quarter.  A panel beyond the b of ``chord``, where not None,
-    checks it with the K21 value at its node nearest its right end, a normal
-    float, where a bend shows most.  Returns (value, error, leaves)."""
+    at 0, at a quarter.  Returns (value, error, leaves)."""
     # n log S at each node: a float n gives the bits of an int n, which
     # converts to the same float, and a cheaper product
     n = float(n)
@@ -421,11 +424,6 @@ def _integrate_mesh(dist, n, bounds, budget, cap, chord):
         fx, resasc = [], None
         for nodes, weights, diffs in _RULES if gauss_first and a == 0.0 else _FROM_K21:
             value, err, fx = _rule(dist, n, a, b, nodes, weights, diffs, fx)
-            if chord is not None and len(fx) == 21 and a >= chord[2] and fx[10] >= sys.float_info.min:
-                # K21's value at its node nearest b; the log of a rounded exp
-                # is off by up to eps/2 even where the exp rounds to 1 and
-                # the log to 0
-                _check_chord(dist.name, chord, 0.5 * (a + b) + 0.5 * (b - a) * _XK[0], math.log(fx[10]), 1.0)
             # an error fits within the tolerance or at the level of rounding
             # of the panel's value
             rounding = _PANEL_ROUNDING * abs(value)
@@ -461,15 +459,15 @@ def _integrate_mesh(dist, n, bounds, budget, cap, chord):
     return math.fsum(values), math.fsum(errors), len(values)
 
 
-def _check_chord(name, chord, y, v, slack):
+def _check_chord(name, chord, y, v):
     """The premise of the chord tail: a concave n log S lies below its chord
     through (p, p_arg) and (b, arg) = ``chord``, extended past b.  Raises
-    HypothesisViolatedError where the point (y, v), y >= b, lies above it by
-    more than the rounding of the three values, that of v being _ROUNDING
-    times |v| + ``slack``."""
+    HypothesisViolatedError where the point (y, v = n log S(y)), y >= b,
+    lies above it by more than the rounding of the three values, _ROUNDING
+    times each one's magnitude."""
     p, p_arg, b, arg = chord
     t = (y - b) / (b - p)
-    if v - arg - (arg - p_arg) * t > _ROUNDING * (abs(v) + slack + (1.0 + t) * abs(arg) + t * abs(p_arg)):
+    if v - arg - (arg - p_arg) * t > _ROUNDING * (abs(v) + (1.0 + t) * abs(arg) + t * abs(p_arg)):
         raise HypothesisViolatedError(
             "log-concave",
             f"{name}: n log survival lies above its chord past {b:g}, "
@@ -499,12 +497,9 @@ def _chord(p, p_arg, b, arg):
 
 def _grid(dist: Distribution, n: int, budget: float):
     """Panel bounds 0, b_0, ..., y*, the tail, the exact remainder beyond
-    y* (0.0 for a law without one), b_0 S(b_0)^n, a lower bound on the
-    value, and the chord (p, n log S(p), b, n log S(b)) before the panel
-    [b, y*], which _integrate_mesh checks on that panel (None where no
-    chord stands before such a panel).  The bounds below y* are the
-    boundaries b_k = w0 * 4^k; for a law without a remainder y* may lie
-    inside the block after the last of them.  The tail is, by the rules of
+    y* (0.0 for a law without one) and b_0 S(b_0)^n, a lower bound on the
+    value.  The bounds below y* are the boundaries b_k = w0 * 4^k; for a law
+    without a remainder y* may lie inside the block after the last of them.  The tail is, by the rules of
     the module docstring, a certified bound on the integral the panels
     cannot see beyond y*, or the rounding of the remainder, plus the mass
     below b_0 if the integrand has underflowed there.  A law without a
@@ -514,10 +509,10 @@ def _grid(dist: Distribution, n: int, budget: float):
     underflow.  A law with a remainder stops instead at the first boundary
     where the remainder's rounding fits ``budget``, or at the largest
     floats.  Raises HypothesisViolatedError where a boundary of a law
-    without a remainder lies above the chord before it, ValueError where
-    log_survival is NaN or above 0 at a boundary or log_mean_residual is
-    NaN, and NonConvergentError where the remainder is infinite or a chord
-    tail reaches the largest floats."""
+    without a remainder, or a y* past the last of them, lies above the
+    chord before it, ValueError where log_survival is NaN or above 0 at
+    either or log_mean_residual is NaN, and NonConvergentError where the
+    remainder is infinite or a chord tail reaches the largest floats."""
     positive = _smooth_at_zero(dist)
     b = max(min(1.0, 4.0 / (n * dist.density_at_zero + 1.0)) if positive else 1.0 / math.sqrt(n), _MIN_WIDTH)
     arg = n * dist.log_survival(b)
@@ -538,7 +533,7 @@ def _grid(dist: Distribution, n: int, budget: float):
     log_negligible = math.log(_NEGLIGIBLE_TAIL) + math.log(b) + arg
     log_budget = math.log(budget) if budget > 0.0 else -math.inf
     prev_arg = 0.0  # n log S at the boundary before b
-    chord = premise = None  # the chord before b, and the one the panel [b, y*] checks
+    chord = None  # the chord before b
     while True:
         if not arg <= 0.0:  # a NaN, or a survival above 1
             raise ValueError(f"{dist.name}: log_survival is {dist.log_survival(b)!r} at {b!r}")
@@ -568,7 +563,7 @@ def _grid(dist: Distribution, n: int, budget: float):
             # the chord from the boundary before b, or from (0, 0) at b_0,
             # once (b, arg) is checked against the chord before it
             if chord is not None:
-                _check_chord(dist.name, chord, b, arg, 0.0)
+                _check_chord(dist.name, chord, b, arg)
             p = bounds[-2]
             chord = (p, prev_arg, b, arg)
             drop, log_tail = _chord(*chord)
@@ -585,7 +580,11 @@ def _grid(dist: Distribution, n: int, budget: float):
                         # within the block to a negligible tail
                         y = min(4.0 * b, max(y, negligible))
                         bounds.append(y)
-                        premise = chord
+                        if y < dist.support_upper:  # the tail's premise at y*, checked as at b
+                            y_arg = n * dist.log_survival(y)
+                            if not y_arg <= 0.0:
+                                raise ValueError(f"{dist.name}: log_survival is {dist.log_survival(y)!r} at {y!r}")
+                            _check_chord(dist.name, chord, y, y_arg)
                     try:
                         tail = 0.0 if y >= dist.support_upper else math.exp(log_tail - drop * ((y - b) / (b - p)))
                     except OverflowError:  # y* = b at the largest floats, where the chord tail is past them
@@ -599,7 +598,7 @@ def _grid(dist: Distribution, n: int, budget: float):
         arg = n * dist.log_survival(b) if ahead is None else ahead
         ahead = None
     bounds[-1] = min(bounds[-1], dist.support_upper)
-    return bounds, tail, remainder, math.exp(log_least), premise
+    return bounds, tail, remainder, math.exp(log_least)
 
 
 def survival_power_integral(dist: Distribution, n: int, tol: float) -> MinResult:
@@ -613,13 +612,13 @@ def survival_power_integral(dist: Distribution, n: int, tol: float) -> MinResult
     _check_int("n", n)
     _check_tol(tol)
 
-    bounds, tail_bound, remainder, least, chord = _grid(dist, n, 0.5 * tol)
+    bounds, tail_bound, remainder, least = _grid(dist, n, 0.5 * tol)
     # one budget, what the tail leaves of tol, spent from left to right in
     # equal shares per panel of the grid, since shares in proportion to
     # width would starve the panels near 0 where the mass sits; a subnormal
     # lower bound on the value has no resolution to cap them with
     budget = max(tol - tail_bound, 0.0)
     cap = _RESOLUTION * least if least >= sys.float_info.min else math.inf
-    value, panel_error, panels = _integrate_mesh(dist, n, bounds, budget, cap, chord)
+    value, panel_error, panels = _integrate_mesh(dist, n, bounds, budget, cap)
     error_bound = tail_bound + panel_error
     return MinResult(n, value + remainder, "quadrature", error_bound, error_bound <= tol, bounds[-1], panels)

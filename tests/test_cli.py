@@ -305,14 +305,14 @@ class TestPinnedOutput:
         code, out, _ = run(["verify", "--seed", "42"], capsys)
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "a29a6601267cddcf9c16337b65063a62144c3f04856096fab6e7509f5ef85491")
+            "ecfab6ad3820443ab972e41a80beed19e21f521fbc848930eddaa641e937bac8")
 
     def test_sphere_mean_sweep_digest(self, capsys):
         code, out, _ = run(["sphere-mean", "--n-range", "2:200:1", "--samples", "500",
                             "--seed", "0", "--format", "csv"], capsys)
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "61ed7d361223ca4624d000af20c067f514afb2c4511f3b97fe6a8ee82f6cf66b")
+            "62365793fd00bba1c1131df2d50c9bdde70e1737208217214874e32c3d91f113")
 
     @pytest.mark.parametrize("k,bits", [(3, "0x1.d02cb8bbfda7fp-11"), (6, "0x1.dbc9fab81147dp-21"),
                                         (9, "0x1.e73559fa5ad0dp-31"), (12, "0x1.f2e6c291f0e9fp-41")])

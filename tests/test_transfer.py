@@ -1,7 +1,8 @@
 """Sphere/Gaussian transfer: homogeneity of the built-ins, exactness of the
 degree-2 gamma identity, agreement of both Monte Carlo routes with
-closed-form oracles, seed reproducibility, the sampling kernel's pinned
-bits, memory bound and checks, and the two-thread transfer check."""
+closed-form oracles, exact standard errors of the Gaussian route, seed
+reproducibility, the sampling kernel's pinned bits, memory bound and
+checks, and the two-thread transfer check."""
 
 import gc
 import math
@@ -101,6 +102,26 @@ class TestSphereMeanFromGaussian:
         est = sphere_mean_from_gaussian(builtin_function("abs-first"), 3, SAMPLES, 7)
         assert abs(est.point - 0.5) <= 4 * est.std_error
 
+    # Each std_error against its exact value, which checks the second and
+    # fourth moments of the draws.  At these counts 1% is more than 5 standard
+    # deviations of the sample standard deviation, at n = 1 too, where
+    # sum-squares has kurtosis 15.
+    @pytest.mark.parametrize("n, samples", [(1, 10**6), (2, 10**6), (40, 250_000)])
+    def test_sum_squares_std_error_is_exact(self, n, samples):
+        # Var sum X_i^2 = n/2 under N(0, 1/2), and the gamma factor is 2/n
+        est = sphere_mean_from_gaussian(builtin_function("sum-squares"), n, samples, 31 + n)
+        assert abs(est.point - 1.0) <= 4 * est.std_error
+        assert est.std_error == pytest.approx(math.sqrt(2.0 / (n * samples)), rel=0.01)
+
+    @pytest.mark.parametrize("n, samples", [(1, 10**6), (2, 10**6), (40, 250_000)])
+    def test_abs_first_std_error_is_exact(self, n, samples):
+        # E|X_1| = 1/sqrt(pi) and Var |X_1| = 1/2 - 1/pi under N(0, 1/2)
+        factor = gamma_ratio(n, 1)
+        est = sphere_mean_from_gaussian(builtin_function("abs-first"), n, samples, 37 + n)
+        assert abs(est.point - factor / math.sqrt(math.pi)) <= 4 * est.std_error
+        assert est.std_error == pytest.approx(
+            factor * math.sqrt((0.5 - 1.0 / math.pi) / samples), rel=0.01)
+
 
 class TestReproducibility:
     def test_fixed_seed_bitwise_identical(self):
@@ -183,24 +204,25 @@ ROUTES = {r.__name__: r for r in (sphere_mean_from_gaussian, sphere_mean_direct)
 # against mpmath on its own.
 PINNED = [
     ("min-abs", 2, 2_001_000, 2024, "sphere_mean_from_gaussian",
-     "0x1.522efcfd171b2p-2", "0x1.8eef383535e26p-13"),
+     "0x1.527ba27ffda19p-2", "0x1.8f693dd915e21p-13"),
     ("min-abs", 2, 2_001_000, 2024, "sphere_mean_direct",
-     "0x1.7d954fbc2fa5ep-2", "0x1.320c92cda983dp-13"),
+     "0x1.7da3b0da6eba5p-2", "0x1.3222262043f1ap-13"),
     ("sum-abs", 1000, 4_100, 2025, "sphere_mean_from_gaussian",
-     "0x1.1a4b89fedbca2p+9", "0x1.ae2261df8477bp-3"),
+     "0x1.1a31e3bbab0d5p+9", "0x1.b69387f0c5c61p-3"),
     ("sum-abs", 1000, 4_100, 2025, "sphere_mean_direct",
-     "0x1.93e05e21d811ep+4", "0x1.b2337ac0bc4c7p-9"),
+     "0x1.93e990b318691p+4", "0x1.b51e1f9ed571cp-9"),
     ("sum-squares", 7, 5_000, 2026, "sphere_mean_from_gaussian",
-     "0x1.bed0ecf9c3620p+1", "0x1.a995c43b40e91p-6"),
+     "0x1.c841fa8dc8744p+1", "0x1.b76ecc750ee90p-6"),
     ("sum-squares", 7, 5_000, 2026, "sphere_mean_direct",
      "0x1.0000000000000p+0", "0x0.0p+0"),
 ]
 
 
 def _loop_reference(f, n, samples, seed, normalise):
-    """The kernel's (mean, se), drawn in one call and summed by np.sum over
-    groups of 2^15 // n rows, the group sums added by math.fsum."""
-    x = np.random.default_rng(seed).standard_normal((samples, n))
+    """The kernel's (mean, se), drawn from Generator(SFC64(seed)) in one call
+    and summed by np.sum over groups of 2^15 // n rows, the group sums added
+    by math.fsum."""
+    x = np.random.Generator(np.random.SFC64(seed)).standard_normal((samples, n))
     x = x / np.linalg.norm(x, axis=1)[:, None] if normalise else x * math.sqrt(0.5)
     v = np.asarray(f.eval(x), dtype=np.float64)
     group = max(1, 2**15 // n)
@@ -346,18 +368,22 @@ class _ZeroFirstRow:
 
 
 def test_zero_norm_row_is_redrawn(monkeypatch):
-    default_rng = np.random.default_rng
+    # the kernel builds its generator as Generator(SFC64(seed)); each call
+    # must draw from a stub, so a change of that seam fails here
+    generator = np.random.Generator
     stubs = []
 
-    def stub(seed):
-        stubs.append(_ZeroFirstRow(default_rng(seed)))
+    def stub(bit_generator):
+        assert isinstance(bit_generator, np.random.SFC64)
+        stubs.append(_ZeroFirstRow(generator(bit_generator)))
         return stubs[-1]
 
-    monkeypatch.setattr(transfer.np.random, "default_rng", stub)
+    monkeypatch.setattr(transfer.np.random, "Generator", stub)
     est = sphere_mean_direct(builtin_function("min-abs"), 3, 1000, 0)
     assert math.isfinite(est.point) and math.isfinite(est.std_error)
     est = sphere_mean_direct(builtin_function("sum-squares"), 3, 1000, 0)
     assert est.point == 1.0
+    assert len(stubs) == 2
     assert all(s.zeroed and s.redraws == 1 for s in stubs)
 
 

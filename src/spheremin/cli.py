@@ -216,9 +216,13 @@ def _run_verify(args: argparse.Namespace, out: io.TextIOBase) -> int:
         checks.append(ok)
         out.write(f"{'PASS' if ok else 'FAIL'}  {name}  {detail}\n")
 
+    eps = sys.float_info.epsilon
+
     def quadrature(name: str, res: minima.MinResult, expect: float) -> None:
-        check(name, abs(res.value - expect) <= 1e-9,
-              f"value={_fmt(res.value)} expect={_fmt(expect)}", res.converged)
+        # the bound must cover the error, up to 8 ulp for the rounding of
+        # the final sum, which the bound leaves out
+        ok = abs(res.value - expect) <= res.error_bound + 8 * eps * abs(expect)
+        check(name, ok, f"value={_fmt(res.value)} expect={_fmt(expect)}", res.converged)
 
     tol = args.tol
     for n in (1, 10, 100):
@@ -231,8 +235,9 @@ def _run_verify(args: argparse.Namespace, out: io.TextIOBase) -> int:
     quadrature("quadrature-half-normal-n2", minima.nmin(2, tol),
                (2.0 - math.sqrt(2.0)) / SQRT_PI)
 
+    # gamma_ratio's 3 eps and the rounding of the product
     bad = [n for n in range(1, 1001)
-           if abs(gamma_ratio(n, 2) * (n / 2.0) - 1.0) > 1e-12]
+           if abs(gamma_ratio(n, 2) * (n / 2.0) - 1.0) > 4 * eps]
     check("gamma-identity-degree2", not bad, f"violations={len(bad)}")
 
     children = np.random.SeedSequence(args.seed).spawn(8)

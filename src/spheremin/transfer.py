@@ -4,14 +4,15 @@ For f homogeneous of degree d,
 
     mean of f over S^(n-1)  =  Gamma(n/2)/Gamma((n+d)/2) * E[f(X_1..X_n)],
 
-with iid coordinates X_i ~ Normal(0, 1/2).  Both sides are estimated by
-Monte Carlo: the right via Gaussian draws plus the exact gamma factor,
-the left directly via normalized Gaussian vectors (uniform on the
-sphere).  Both routes share one sampling kernel, and estimates are
-bitwise-reproducible for a fixed seed.  The kernel draws from numpy's
-SFC64 bit generator rather than the default PCG64: filling a block with
-standard normals is most of the kernel's time, and SFC64 feeds the same
-ziggurat standard_normal faster.
+with iid coordinates X_i ~ Normal(0, 1/2).  As X = Z/sqrt(2) with Z
+standard normal, E[f(X)] = 2^(-d/2) E[f(Z)] by homogeneity.  Both sides
+are estimated by Monte Carlo: the right via standard normal draws and
+the exact factor Gamma(n/2)/(2^(d/2) Gamma((n+d)/2)), the left directly
+via normalized Gaussian vectors (uniform on the sphere).  Both routes
+share one sampling kernel, and estimates are bitwise-reproducible for a
+fixed seed.  The kernel draws from numpy's SFC64 bit generator rather
+than the default PCG64: filling a block with standard normals is most of
+the kernel's time, and SFC64 feeds the same ziggurat standard_normal faster.
 
 Rows are drawn in blocks of max(1, _BLOCK_ELEMENTS // n) rows, at most
 max(_BLOCK_ELEMENTS, n) coordinates, into one reused buffer; each block's
@@ -43,7 +44,8 @@ _FOLD_BELOW = 8  # numpy adds a row of fewer coordinates in order
 @dataclass(frozen=True)
 class HomogeneousFunction:
     """A degree-tagged function of an n-vector; eval is vectorized over
-    the leading axes of an (..., n) array.
+    the leading axes of an (..., n) array.  The Gaussian route reads f at
+    standard normal rows Z and relies on f(Z/sqrt(2)) = 2^(-d/2) f(Z).
 
     The Monte Carlo routes call eval on (rows, n) blocks of one reused
     buffer and sum eval's one value per row as float64, with no staging
@@ -125,16 +127,13 @@ def builtin_function(name: str) -> HomogeneousFunction:
 def _sample_mean(
     f: HomogeneousFunction, n: int, samples: int, seed: SeedLike, normalise: bool
 ) -> Tuple[float, float]:
-    """Mean and standard error of f over `samples` rows of iid N(0, 1/2)
-    coordinates, or over iid N(0, 1) rows normalised onto S^(n-1).  The
-    rows come from Generator(SFC64(seed)), chosen because the
-    standard_normal fill is most of this function's time."""
+    """Mean and standard error of f over `samples` iid N(0, I_n) rows from
+    Generator(SFC64(seed)), each normalised onto S^(n-1) if `normalise`."""
     _check_int("n", n)
     _check_int("samples", samples, 2)
     rng = np.random.Generator(np.random.SFC64(seed))
     block_rows = max(1, _BLOCK_ELEMENTS // n)
     block = np.empty((min(block_rows, samples), n))
-    root_half = math.sqrt(0.5)
     sums, sumsqs = [], []
     for lo in range(0, samples, block_rows):
         rows = min(block_rows, samples - lo)
@@ -148,8 +147,6 @@ def _sample_mean(
                 norms = np.sqrt(_sum_squares(x))
             x /= norms[:, None]
             del norms  # this and v are freed before the next block is drawn
-        else:
-            x *= root_half
         v = np.asarray(f.eval(x), dtype=np.float64)
         if v.shape != (rows,):
             raise ValueError(
@@ -168,9 +165,10 @@ def _sample_mean(
 def sphere_mean_from_gaussian(
     f: HomogeneousFunction, n: int, samples: int, seed: SeedLike
 ) -> Estimate:
-    """Estimate the spherical mean of f via Gaussian draws and the exact
-    gamma-ratio transfer factor."""
-    factor = gamma_ratio(n, f.degree)  # rejects a bad degree before sampling
+    """Estimate the spherical mean of f via standard normal draws and the
+    exact factor Gamma(n/2)/(2^(d/2) Gamma((n+d)/2)); its 2^(-d/2) is exact
+    for even d and rounded once for odd d."""
+    factor = gamma_ratio(n, f.degree) * 2.0 ** (-f.degree / 2)  # rejects a bad d before sampling
     mean, se = _sample_mean(f, n, samples, seed, normalise=False)
     return Estimate(point=factor * mean, std_error=factor * se, samples=samples)
 

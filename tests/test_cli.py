@@ -1,6 +1,7 @@
 """CLI contract: subcommands, n-range syntax, output formats, exit codes,
 and byte-level reproducibility."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -22,7 +23,7 @@ from spheremin.cli import (
     parse_n_range,
 )
 from spheremin.minima import nmin
-from spheremin import transfer
+from spheremin import minima, transfer
 from spheremin.transfer import Estimate, builtin_function, sphere_mean_direct
 
 
@@ -194,6 +195,30 @@ class TestExitCodes:
         failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
         assert failed and all(line.endswith(" converged=False") for line in failed)
         assert out.splitlines()[-1].startswith("FAILED")
+
+    def test_verify_judges_quadrature_by_its_error_bound(self, capsys):
+        # at tol 1e-6 nmin(1) lies 1.8e-9 from 1/sqrt(pi), within its bound
+        # of 2.9e-9 but outside a fixed 1e-9
+        code, out, _ = run(["verify", "--seed", "42", "--tol", "1e-6"], capsys)
+        assert code == EXIT_OK
+        assert out.splitlines()[-1] == "OK  17/17 checks passed"
+
+    def test_verify_fails_a_quadrature_value_its_bound_misses(self, monkeypatch, capsys):
+        # every quadrature value moved 5e-10 off its closed form with a bound
+        # of 1e-12: within a fixed 1e-9, but the bound understates the error
+        expected_min = minima.expected_min
+
+        def moved(dist, n, tol=minima.DEFAULT_TOL):
+            res = expected_min(dist, n, tol)
+            return dataclasses.replace(res, value=res.value + 5e-10, error_bound=1e-12)
+
+        monkeypatch.setattr(minima, "expected_min", moved)
+        code, out, _ = run(["verify", "--seed", "42", "--samples", "2000"], capsys)
+        assert code == EXIT_VERIFY_FAILED
+        lines = [line for line in out.splitlines() if "  quadrature-" in line]
+        assert len(lines) == 8
+        assert all(line.startswith("FAIL ") for line in lines)
+        assert out.count("PASS ") == 9
 
     def test_verify_fails_a_sphere_mean_apart_at_zero_spread(self, monkeypatch, capsys):
         # the direct route's point moved by 0.5 with no standard error: a

@@ -200,19 +200,20 @@ ROUTES = {r.__name__: r for r in (sphere_mean_from_gaussian, sphere_mean_direct)
 # rows and ends in a partial one of 2152, sum-abs at n=1000 ends in a
 # partial block of 4 rows after 128 of 32, and sum-squares at n=7 folds its
 # columns over one block of 4681 rows and one of 319.  The Gaussian rows pin
-# the kernel's (mean, se) before the gamma factor, which test_special checks
+# the kernel's (mean, se) over standard normal rows, before the factor
+# Gamma(n/2)/(2^(d/2) Gamma((n+d)/2)), whose gamma ratio test_special checks
 # against mpmath on its own.
 PINNED = [
     ("min-abs", 2, 2_001_000, 2024, "sphere_mean_from_gaussian",
-     "0x1.527ba27ffda19p-2", "0x1.8f693dd915e21p-13"),
+     "0x1.deafeac63928bp-2", "0x1.1a6d21d17161ep-12"),
     ("min-abs", 2, 2_001_000, 2024, "sphere_mean_direct",
      "0x1.7da3b0da6eba5p-2", "0x1.3222262043f1ap-13"),
     ("sum-abs", 1000, 4_100, 2025, "sphere_mean_from_gaussian",
-     "0x1.1a31e3bbab0d5p+9", "0x1.b69387f0c5c61p-3"),
+     "0x1.8f1575c3cad49p+9", "0x1.361eca1270e38p-2"),
     ("sum-abs", 1000, 4_100, 2025, "sphere_mean_direct",
      "0x1.93e990b318691p+4", "0x1.b51e1f9ed571cp-9"),
     ("sum-squares", 7, 5_000, 2026, "sphere_mean_from_gaussian",
-     "0x1.c841fa8dc8744p+1", "0x1.b76ecc750ee90p-6"),
+     "0x1.c841fa8dc8740p+2", "0x1.b76ecc750ee9cp-5"),
     ("sum-squares", 7, 5_000, 2026, "sphere_mean_direct",
      "0x1.0000000000000p+0", "0x0.0p+0"),
 ]
@@ -223,7 +224,8 @@ def _loop_reference(f, n, samples, seed, normalise):
     and summed by np.sum over groups of 2^15 // n rows, the group sums added
     by math.fsum."""
     x = np.random.Generator(np.random.SFC64(seed)).standard_normal((samples, n))
-    x = x / np.linalg.norm(x, axis=1)[:, None] if normalise else x * math.sqrt(0.5)
+    if normalise:
+        x = x / np.linalg.norm(x, axis=1)[:, None]
     v = np.asarray(f.eval(x), dtype=np.float64)
     group = max(1, 2**15 // n)
     total = math.fsum(float(np.sum(v[i:i + group])) for i in range(0, samples, group))
@@ -233,7 +235,8 @@ def _loop_reference(f, n, samples, seed, normalise):
     return mean, math.sqrt(var / samples)
 
 
-@pytest.mark.parametrize("name, n, samples, seed, route, point, std_error", PINNED)
+@pytest.mark.parametrize("name, n, samples, seed, route, point, std_error", PINNED,
+                         ids=["-".join(map(str, row[:5])) for row in PINNED])
 def test_estimates_are_pinned(name, n, samples, seed, route, point, std_error):
     f = builtin_function(name)
     est = ROUTES[route](f, n, samples, seed)
@@ -241,7 +244,7 @@ def test_estimates_are_pinned(name, n, samples, seed, route, point, std_error):
     gaussian = route == "sphere_mean_from_gaussian"
     if gaussian:
         mean, se = transfer._sample_mean(f, n, samples, seed, normalise=False)
-        factor = gamma_ratio(n, f.degree)
+        factor = gamma_ratio(n, f.degree) * 2.0 ** (-f.degree / 2)
         assert bits == (factor * mean, factor * se)
         bits = (mean, se)
     assert bits == _loop_reference(f, n, samples, seed, normalise=not gaussian)
